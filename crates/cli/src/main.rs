@@ -24,45 +24,47 @@ use vectorscope_autovec::{analyze_module, percent_packed};
 use vectorscope_interp::{CaptureSpec, Vm, VmOptions};
 use vectorscope_kernels::Variant;
 
+/// The usage text. A plain multi-line literal (no `\` line continuations,
+/// which would strip the indentation of every continued line).
+const USAGE: &str = "vscope — dynamic trace-based analysis of vectorization potential
+
+USAGE:
+  vscope analyze <file.kern> [--threshold PCT] [--break-reductions] [--verbose]
+                 [--threads N]       analysis worker threads (0 = auto;
+                                     also via VSCOPE_THREADS; results are
+                                     identical at every thread count)
+                 [--streaming]       bounded-memory engine: analyze trace
+                                     events as they are emitted (reports
+                                     are byte-identical to the default
+                                     batch engine)
+                 [--engine E]        VM execution engine: `decoded` (the
+                                     default pre-decoded bytecode engine)
+                                     or `tree` (the tree-walking escape
+                                     hatch); outputs are byte-identical
+  vscope stats <file.kern> [--json]    stream a whole run and report the
+                                       engine's observability counters and
+                                       peak memory vs. the batch pipeline
+  vscope profile <file.kern> [--phases] show per-loop cycle profile; with
+                                       --phases also wall-clock time per
+                                       pipeline phase (decode/execute/
+                                       trace/ddg/analysis)
+  vscope vectorize <file.kern>         show model auto-vectorizer decisions
+  vscope trace <file.kern> [--out F]   capture a whole-program trace
+  vscope ir <file.kern> [--no-verify]  verify and dump the compiled IR
+  vscope kernels                       list the built-in benchmark kernels
+  vscope kernel <name> [<variant>]     analyze a built-in kernel
+  vscope triage <file.kern>            rank loops by missed opportunity
+  vscope gap <file.kern> [--json]      static dependence oracle: cross-validate
+  vscope gap --all-kernels [--json]    static vs. dynamic analysis (exit 1 on
+                                       any oracle violation)
+  vscope parallelism <file.kern>       Kumar critical-path profile (prior work)
+  vscope ddg <file.kern> [--out F.dot] export the DDG as Graphviz DOT
+  vscope suite                         characterize the built-in kernel suite
+  vscope table <1|2|3|4>               regenerate a paper table
+  vscope fig <1|2>                     regenerate a paper figure";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "vscope — dynamic trace-based analysis of vectorization potential\n\
-         \n\
-         USAGE:\n\
-           vscope analyze <file.kern> [--threshold PCT] [--break-reductions] [--verbose]\n\
-                          [--threads N]       analysis worker threads (0 = auto;\n\
-                                              also via VSCOPE_THREADS; results are\n\
-                                              identical at every thread count)\n\
-                          [--streaming]       bounded-memory engine: analyze trace\n\
-                                              events as they are emitted (reports\n\
-                                              are byte-identical to the default\n\
-                                              batch engine)\n\
-                          [--engine E]        VM execution engine: `decoded` (the\n\
-                                              default pre-decoded bytecode engine)\n\
-                                              or `tree` (the tree-walking escape\n\
-                                              hatch); outputs are byte-identical\n\
-           vscope stats <file.kern> [--json]    stream a whole run and report the\n\
-                                                engine's observability counters and\n\
-                                                peak memory vs. the batch pipeline\n\
-           vscope profile <file.kern> [--phases] show per-loop cycle profile; with\n\
-                                                --phases also wall-clock time per\n\
-                                                pipeline phase (decode/execute/\n\
-                                                trace/ddg/analysis)\n\
-           vscope vectorize <file.kern>         show model auto-vectorizer decisions\n\
-           vscope trace <file.kern> [--out F]   capture a whole-program trace\n\
-           vscope ir <file.kern> [--no-verify]  verify and dump the compiled IR\n\
-           vscope kernels                       list the built-in benchmark kernels\n\
-           vscope kernel <name> [<variant>]     analyze a built-in kernel\n\
-           vscope triage <file.kern>            rank loops by missed opportunity\n\
-           vscope gap <file.kern> [--json]      static dependence oracle: cross-validate\n\
-           vscope gap --all-kernels [--json]    static vs. dynamic analysis (exit 1 on\n\
-                                                any oracle violation)\n\
-           vscope parallelism <file.kern>       Kumar critical-path profile (prior work)\n\
-           vscope ddg <file.kern> [--out F.dot] export the DDG as Graphviz DOT\n\
-           vscope suite                         characterize the built-in kernel suite\n\
-           vscope table <1|2|3|4>               regenerate a paper table\n\
-           vscope fig <1|2>                     regenerate a paper figure"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 

@@ -36,6 +36,15 @@ fn no_args_prints_usage() {
     let (_, err, ok) = vscope(&[]);
     assert!(!ok);
     assert!(err.contains("USAGE"));
+    // Continuation lines keep their indentation under the command name.
+    let threads = err
+        .lines()
+        .find(|l| l.contains("[--threads N]"))
+        .expect("usage lists --threads");
+    assert!(
+        threads.starts_with("                 [--threads N]"),
+        "continuation line lost its indentation: {threads:?}"
+    );
 }
 
 #[test]

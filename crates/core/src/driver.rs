@@ -9,7 +9,7 @@ use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg};
 use vectorscope_frontend::CompileError;
 use vectorscope_interp::{CaptureSpec, Engine, Vm, VmError, VmOptions};
 use vectorscope_ir::loops::LoopId;
-use vectorscope_ir::{FuncId, Module};
+use vectorscope_ir::{FuncId, InstId, Module};
 
 /// Any failure of the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +40,12 @@ pub enum Error {
         /// How many nodes the region tried to create.
         nodes: usize,
     },
+    /// A load or store event of the captured region carries no address
+    /// (see [`vectorscope_ddg::BuildError::MissingAddress`]).
+    MissingAddress {
+        /// The memory instruction of the offending event.
+        inst: InstId,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -56,6 +62,9 @@ impl std::fmt::Display for Error {
             Error::TraceTooLarge { nodes } => {
                 write!(f, "{}", BuildError::TraceTooLarge { nodes: *nodes })
             }
+            Error::MissingAddress { inst } => {
+                write!(f, "{}", BuildError::MissingAddress { inst: *inst })
+            }
         }
     }
 }
@@ -67,7 +76,8 @@ impl std::error::Error for Error {
             Error::Vm(e) => Some(e),
             Error::EmptyTrace { .. }
             | Error::TraceUnavailable { .. }
-            | Error::TraceTooLarge { .. } => None,
+            | Error::TraceTooLarge { .. }
+            | Error::MissingAddress { .. } => None,
         }
     }
 }
@@ -88,6 +98,7 @@ impl From<BuildError> for Error {
     fn from(e: BuildError) -> Self {
         match e {
             BuildError::TraceTooLarge { nodes } => Error::TraceTooLarge { nodes },
+            BuildError::MissingAddress { inst } => Error::MissingAddress { inst },
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   long as the node is still the most recent writer of some register or
 //!   memory cell; once overwritten, no future node can reach it (flow
 //!   dependences only point at last writers), so its timestamps are dead.
-//!   Keeping the timestamp lanes *inside* the register/memory shadow tables
-//!   therefore preserves every reachable timestamp while bounding memory by
-//!   the number of **live** locations, not executed instructions.
+//!   Keeping the timestamp lanes as the writer *payload* of the dependence
+//!   resolver therefore preserves every reachable timestamp while bounding
+//!   memory by the number of **live** locations, not executed instructions.
 //! * **The §3.2/§3.3 stride scans** consume only each instance's operand
 //!   *address tuple* and its partition. Subpartition structure is a
 //!   function of the sorted tuple sequence alone: both engines sort with
@@ -22,18 +22,21 @@
 //!   never leave the engine, so they are not needed.
 //!
 //! [`StreamingAnalyzer::consume`] is the push-style endpoint the VM's
-//! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time; it
-//! replays the DDG builder's dependence resolution (including the
-//! most-recent-*overlapping*-writer rule for mixed-size aliased stores —
-//! see `Builder::mem_writer_for` in `vectorscope-ddg`) against shadow
-//! tables that carry timestamp lanes instead of node ids.
+//! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time. It
+//! runs the same [`vectorscope_ddg::resolve::Resolver`] the DDG builder
+//! runs — register frames, call/ret linkage and the
+//! most-recent-*overlapping*-store probe exist once — with timestamp lanes
+//! as the writer payload instead of nothing.
 //! [`StreamingAnalyzer::finish`] then runs the shared stride core and the
 //! shared metrics assembler, producing reports **byte-identical** to
 //! [`crate::analyze_ddg`] over the batch DDG of the same event stream.
 //!
-//! Peak resident state is `O(live registers + live memory cells +
-//! candidate instances)` — on the bundled kernels 4–100× below the batch
-//! DDG footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
+//! Peak resident state is `O(live frames + live cells + candidate
+//! instances)`: a returned activation's register frame is recycled, the
+//! memory shadow holds the touched pages plus one payload per written base,
+//! and the accumulators hold one tuple per candidate instance. On the
+//! bundled kernel with the longest trace that is 6.3× below the batch DDG
+//! footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
 //! observability counters (`vscope stats`).
 //!
 //! One deliberate non-feature: the reduction-breaking extension needs
@@ -44,9 +47,10 @@
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
 use std::collections::HashMap;
+use vectorscope_ddg::resolve::{Handler, NodeEvent, Payload, Resolver, Writer};
 use vectorscope_ddg::{BuildError, CandidatePolicy};
-use vectorscope_ir::{InstId, InstKind, Module, TermKind, Value};
-use vectorscope_trace::{EventKind, TraceEvent};
+use vectorscope_ir::{InstId, InstKind, Module};
+use vectorscope_trace::TraceEvent;
 
 /// Observability counters of one streaming run.
 ///
@@ -63,12 +67,14 @@ pub struct StreamStats {
     pub nodes: u64,
     /// Candidate (FP/int arithmetic) instances accumulated.
     pub candidate_instances: u64,
-    /// Peak live register shadow entries.
+    /// Peak register slots held by the frames of activations that had not
+    /// returned.
     pub peak_reg_shadow: usize,
-    /// Peak live memory shadow entries.
+    /// Distinct memory base addresses written (the memory shadow's live
+    /// cells; they never die, so the peak is the final count).
     pub peak_mem_shadow: usize,
-    /// Peak resident shadow-table bytes (register + memory, keys, lane
-    /// payloads and per-entry headers).
+    /// Peak resident resolver bytes at allocated size: register frames
+    /// (recycled ones included), shadow pages, payloads and lane heap.
     pub peak_shadow_bytes: usize,
     /// Peak resident stride-accumulator bytes (operand address tuples).
     pub peak_accumulator_bytes: usize,
@@ -100,75 +106,31 @@ pub struct StreamOutcome {
     pub stats: StreamStats,
 }
 
-/// Last writer of a virtual register, reduced to what downstream analyses
-/// can still ask of it: its timestamp lanes and, if it was a load, its
-/// address (for operand address tuples).
-struct RegShadow {
+/// What the streaming engine records per writer, reduced to what later
+/// instances can still ask of it.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
     /// Algorithm 1 timestamp per candidate lane, with trailing zeros
     /// trimmed; lanes past the stored length are implicitly 0 (a timestamp
     /// is 0 until the lane's first candidate instance, so a writer that ran
     /// before that instance has lane value 0 by construction — the same
     /// argument that lets lanes be created lazily at all).
-    lanes: Box<[u32]>,
+    ts: Box<[u32]>,
     /// The writer's dynamic address if it was a load, else 0 — exactly the
     /// contribution `Ddg::operand_addrs` derives from the writer node.
     load_addr: u64,
 }
 
-/// Last write covering a memory base address. Packed deliberately: one of
-/// these exists per *live* memory cell, which is the engine's dominant
-/// state on large-array kernels.
-struct MemShadow {
-    /// The store's timestamp lanes (see [`RegShadow::lanes`]).
-    lanes: Box<[u32]>,
-    /// Global instance sequence number of the writing store — the recency
-    /// key of the most-recent-overlapping-writer rule (node ids increase in
-    /// execution order, so sequence order is id order). Fits `u32` because
-    /// instance ids are `u32`-checked (`BuildError::TraceTooLarge`).
-    seq: u32,
-    /// Write size in bytes (scalar stores only: at most 8).
-    size: u8,
-}
-
-fn reg_shadow_bytes(s: &RegShadow) -> usize {
-    // (activation, register) key + lane slice header + payload + addr.
-    8 + std::mem::size_of::<Box<[u32]>>() + 4 * s.lanes.len() + 8
-}
-
-fn mem_shadow_bytes(s: &MemShadow) -> usize {
-    // base key + packed entry + lane payload.
-    8 + std::mem::size_of::<MemShadow>() + 4 * s.lanes.len()
-}
-
-/// Element-wise `max` into `dst`, extending it with implicit zeros first.
-fn max_into(dst: &mut Vec<u32>, src: &[u32]) {
-    if src.len() > dst.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(s);
+impl Payload for Lanes {
+    fn heap_bytes(&self) -> usize {
+        4 * self.ts.len()
     }
 }
 
-/// Freezes a working lane vector into its resident form, dropping trailing
-/// zeros (implicitly-zero lanes read back identically through `max_into`).
-fn trim(mut lanes: Vec<u32>) -> Box<[u32]> {
-    while lanes.last() == Some(&0) {
-        lanes.pop();
-    }
-    lanes.into_boxed_slice()
-}
-
-/// Online Algorithm 1 + stride analysis over a pushed event stream.
-///
-/// Create one per capture region, feed every [`TraceEvent`] to
-/// [`consume`](Self::consume) (typically through
-/// [`vectorscope_interp::Vm::add_sink`]), then call
-/// [`finish`](Self::finish) for the report. See the module docs for the
-/// equivalence argument; `tests/streaming.rs` holds the differential
-/// proof against the batch engine.
-pub struct StreamingAnalyzer<'m> {
-    module: &'m Module,
+/// The streaming engine's payload handler: Algorithm 1 timestamp lanes and
+/// the per-(candidate, timestamp) operand-tuple accumulators.
+#[derive(Default)]
+struct Partitioner {
     policy: CandidatePolicy,
 
     // --- candidate lanes, created at first appearance (before a lane's
@@ -185,24 +147,104 @@ pub struct StreamingAnalyzer<'m> {
     /// stride `lane_arity[lane]` — 8 bytes per operand, no per-instance
     /// allocation or header.
     accum: Vec<Vec<Vec<u64>>>,
-
-    // --- live dependence state (the whole memory story).
-    regs: HashMap<(u32, u32), RegShadow>,
-    mem: HashMap<u64, MemShadow>,
-    /// Open calls: (callee activation, caller activation, dst register).
-    call_stack: Vec<(u32, u32, Option<u32>)>,
-
-    /// Instances seen (= next batch node id).
-    node_seq: u64,
-    /// Operand-writer slots a batch CSR build would have pushed (the batch
-    /// engine bounds this by `u32` too).
-    op_count: u64,
-    /// Set when the stream exceeds what `u32` node ids can express.
-    overflow: Option<usize>,
-
-    stats: StreamStats,
-    shadow_bytes: usize,
     accum_bytes: usize,
+
+    /// The pending instance's lanes: the max over its operand writers.
+    lanes: Vec<u32>,
+    /// The pending instance's operand address tuple.
+    tuple: Vec<u64>,
+}
+
+impl Partitioner {
+    /// Algorithm 1 for one candidate instance: its timestamp is the max
+    /// predecessor timestamp in its lane plus one, and its operand tuple
+    /// joins that partition's accumulator.
+    fn candidate(&mut self, inst: InstId, elem: u64) {
+        let lane = match self.lane_of.get(&inst) {
+            Some(&l) => l,
+            None => {
+                let l = self.lane_insts.len();
+                self.lane_of.insert(inst, l);
+                self.lane_insts.push(inst);
+                self.lane_elem.push(elem);
+                self.lane_arity.push(self.tuple.len());
+                self.accum.push(Vec::new());
+                l
+            }
+        };
+        debug_assert_eq!(
+            self.lane_arity[lane],
+            self.tuple.len(),
+            "a static instruction's operand count is fixed"
+        );
+        let t = self.lanes.get(lane).copied().unwrap_or(0) as usize + 1;
+        if self.lanes.len() <= lane {
+            self.lanes.resize(lane + 1, 0);
+        }
+        self.lanes[lane] = t as u32;
+        let groups = &mut self.accum[lane];
+        if groups.len() < t {
+            self.accum_bytes += (t - groups.len()) * std::mem::size_of::<Vec<u64>>();
+            groups.resize_with(t, Vec::new);
+        }
+        self.accum_bytes += 8 * self.tuple.len();
+        groups[t - 1].extend_from_slice(&self.tuple);
+    }
+}
+
+impl Handler<Lanes> for Partitioner {
+    fn operand(&mut self, writer: Option<&Writer<Lanes>>) {
+        let Some(w) = writer else {
+            self.tuple.push(0);
+            return;
+        };
+        // Element-wise max, extending with implicit zeros first.
+        if w.payload.ts.len() > self.lanes.len() {
+            self.lanes.resize(w.payload.ts.len(), 0);
+        }
+        for (d, &s) in self.lanes.iter_mut().zip(&w.payload.ts) {
+            *d = (*d).max(s);
+        }
+        self.tuple.push(w.payload.load_addr);
+    }
+
+    fn node(&mut self, node: NodeEvent<'_>) -> Lanes {
+        if let Some(elem) = self.policy.candidate_elem_size(node.inst) {
+            self.candidate(node.inst.id, elem);
+        }
+        self.tuple.clear();
+        // Freeze the working lanes without trailing zeros (implicitly-zero
+        // lanes read back identically).
+        let len = self
+            .lanes
+            .iter()
+            .rposition(|&t| t != 0)
+            .map_or(0, |i| i + 1);
+        let ts = Box::from(&self.lanes[..len]);
+        self.lanes.clear();
+        let load_addr = match node.inst.kind {
+            InstKind::Load { .. } => node.addr,
+            _ => 0,
+        };
+        Lanes { ts, load_addr }
+    }
+}
+
+/// Online Algorithm 1 + stride analysis over a pushed event stream.
+///
+/// Create one per capture region, feed every [`TraceEvent`] to
+/// [`consume`](Self::consume) (typically through
+/// [`vectorscope_interp::Vm::add_sink`]), then call
+/// [`finish`](Self::finish) for the report. See the module docs for the
+/// equivalence argument; `tests/streaming.rs` holds the differential
+/// proof against the batch engine.
+pub struct StreamingAnalyzer<'m> {
+    module: &'m Module,
+    resolver: Resolver<'m, Lanes>,
+    partitioner: Partitioner,
+    /// The first resolution error; later events are ignored.
+    error: Option<BuildError>,
+    stats: StreamStats,
 }
 
 impl<'m> StreamingAnalyzer<'m> {
@@ -210,21 +252,13 @@ impl<'m> StreamingAnalyzer<'m> {
     pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
         StreamingAnalyzer {
             module,
-            policy,
-            lane_of: HashMap::new(),
-            lane_insts: Vec::new(),
-            lane_elem: Vec::new(),
-            lane_arity: Vec::new(),
-            accum: Vec::new(),
-            regs: HashMap::new(),
-            mem: HashMap::new(),
-            call_stack: Vec::new(),
-            node_seq: 0,
-            op_count: 0,
-            overflow: None,
+            resolver: Resolver::new(module),
+            partitioner: Partitioner {
+                policy,
+                ..Partitioner::default()
+            },
+            error: None,
             stats: StreamStats::default(),
-            shadow_bytes: 0,
-            accum_bytes: 0,
         }
     }
 
@@ -237,20 +271,20 @@ impl<'m> StreamingAnalyzer<'m> {
     /// Consumes one trace event, updating live state online.
     pub fn consume(&mut self, event: &TraceEvent) {
         self.stats.events += 1;
-        if self.overflow.is_some() {
+        if self.error.is_some() {
             return;
         }
-        match event.kind {
-            EventKind::Plain { addr } => self.plain(event.inst, event.activation, addr),
-            EventKind::Call { callee_activation } => {
-                self.call(event.inst, event.activation, callee_activation)
-            }
-            EventKind::Ret => self.ret(event.inst, event.activation),
+        if let Err(e) = self.resolver.step(event, &mut self.partitioner) {
+            self.error = Some(e);
+            return;
         }
-        self.stats.peak_reg_shadow = self.stats.peak_reg_shadow.max(self.regs.len());
-        self.stats.peak_mem_shadow = self.stats.peak_mem_shadow.max(self.mem.len());
-        self.stats.peak_shadow_bytes = self.stats.peak_shadow_bytes.max(self.shadow_bytes);
-        self.stats.peak_accumulator_bytes = self.stats.peak_accumulator_bytes.max(self.accum_bytes);
+        let stats = &mut self.stats;
+        stats.peak_reg_shadow = stats.peak_reg_shadow.max(self.resolver.live_reg_slots());
+        stats.peak_mem_shadow = stats.peak_mem_shadow.max(self.resolver.mem_cells());
+        stats.peak_shadow_bytes = stats.peak_shadow_bytes.max(self.resolver.resident_bytes());
+        stats.peak_accumulator_bytes = stats
+            .peak_accumulator_bytes
+            .max(self.partitioner.accum_bytes);
     }
 
     /// Closes the stream: runs the shared stride core over the accumulated
@@ -266,18 +300,16 @@ impl<'m> StreamingAnalyzer<'m> {
     /// instances than `u32` node ids can express — the same limit, surfaced
     /// the same way, as the batch builder.
     pub fn finish(self, options: &MetricOptions) -> Result<StreamOutcome, BuildError> {
-        if let Some(nodes) = self.overflow {
-            return Err(BuildError::TraceTooLarge { nodes });
+        if let Some(e) = self.error {
+            return Err(e);
         }
-        let shards: Vec<(usize, usize)> = self
+        let p = &self.partitioner;
+        let shards: Vec<(usize, usize)> = p
             .accum
             .iter()
             .enumerate()
             .flat_map(|(l, gs)| (0..gs.len()).map(move |g| (l, g)))
             .collect();
-        let accum = &self.accum;
-        let elems = &self.lane_elem;
-        let arities = &self.lane_arity;
         // Same fan-out discipline as `analyze_ddg`: results return in shard
         // order, so aggregation is byte-identical at every thread count.
         let reports: Vec<StrideReport> =
@@ -286,17 +318,17 @@ impl<'m> StreamingAnalyzer<'m> {
                 // core wants; payload = within-partition index, unique and
                 // in execution order, so the arena sort orders by tuple
                 // exactly like the batch engine's (tuple, node id) sort.
-                let arity = arities[l];
-                let instances = (accum[l][g].len() / arity.max(1)) as u32;
+                let arity = p.lane_arity[l];
+                let instances = (p.accum[l][g].len() / arity.max(1)) as u32;
                 let tuples =
-                    SortedTuples::from_flat(accum[l][g].clone(), (0..instances).collect(), arity);
-                analyze_sorted_tuples(&tuples, elems[l])
+                    SortedTuples::from_flat(&p.accum[l][g], (0..instances).collect(), arity);
+                analyze_sorted_tuples(&tuples, p.lane_elem[l])
             });
         let mut reports = reports.into_iter();
-        let lanes: Vec<LaneOutcome> = self
+        let lanes: Vec<LaneOutcome> = p
             .lane_insts
             .iter()
-            .zip(self.accum.iter().zip(&self.lane_arity))
+            .zip(p.accum.iter().zip(&p.lane_arity))
             .map(|(&inst, (groups, &arity))| {
                 let instances: usize = groups.iter().map(|g| g.len() / arity).sum();
                 LaneOutcome {
@@ -320,269 +352,47 @@ impl<'m> StreamingAnalyzer<'m> {
                 }
             })
             .collect();
+        let stats = StreamStats {
+            nodes: self.resolver.nodes() as u64,
+            candidate_instances: lanes.iter().map(|l| l.instances).sum(),
+            partitions: lanes.iter().map(|l| l.partitions).sum(),
+            ..self.stats
+        };
         let (metrics, per_inst) = assemble(lanes);
         Ok(StreamOutcome {
             metrics,
             per_inst,
-            nodes: self.node_seq as usize,
-            stats: self.stats,
+            nodes: self.resolver.nodes(),
+            stats,
         })
     }
+}
 
-    /// Allocates the next instance sequence number, mirroring the batch
-    /// builder's checked node-id conversion (id `u32::MAX` is the EXTERNAL
-    /// sentinel) and its CSR operand-array bound.
-    fn next_seq(&mut self, operands: u64) -> Option<u64> {
-        if self.node_seq >= u32::MAX as u64 {
-            self.overflow = Some(self.node_seq as usize);
-            return None;
-        }
-        let seq = self.node_seq;
-        self.node_seq += 1;
-        self.op_count += operands;
-        if self.op_count >= u32::MAX as u64 {
-            self.overflow = Some(self.node_seq as usize);
-            return None;
-        }
-        self.stats.nodes += 1;
-        Some(seq)
-    }
+#[cfg(test)]
+mod tests {
+    use crate::{analyze_program, stream_program, AnalysisOptions};
 
-    fn lanes_of_value(&self, act: u32, v: Value, into: &mut Vec<u32>) {
-        if let Value::Reg(r) = v {
-            if let Some(s) = self.regs.get(&(act, r.0)) {
-                max_into(into, &s.lanes);
-            }
-        }
-    }
-
-    /// The operand-address-tuple contribution of a value: the address of
-    /// the load that produced it, else 0 (immediates, externals, register
-    /// arithmetic).
-    fn addr_of_value(&self, act: u32, v: Value) -> u64 {
-        if let Value::Reg(r) = v {
-            if let Some(s) = self.regs.get(&(act, r.0)) {
-                return s.load_addr;
-            }
-        }
-        0
-    }
-
-    /// The most recent write overlapping the read `[addr, addr + size)` —
-    /// the streaming mirror of `Builder::mem_writer_for`, including the fix
-    /// for newer overlapping writes at a different base and the saturating
-    /// window near `u64::MAX`. Recency competes on sequence numbers, which
-    /// order exactly like batch node ids.
-    fn mem_shadow_for(&self, addr: u64, size: u64) -> Option<&MemShadow> {
-        if size == 0 {
-            return None;
-        }
-        let mut best: Option<&MemShadow> = None;
-        let lo = addr.saturating_sub(7);
-        let hi = addr.saturating_add(size - 1);
-        for base in lo..=hi {
-            if let Some(s) = self.mem.get(&base) {
-                let reaches = s.size > 0
-                    && base
-                        .checked_add(s.size as u64 - 1)
-                        .is_none_or(|end| end >= addr);
-                if reaches && best.map(|b| s.seq > b.seq).unwrap_or(true) {
-                    best = Some(s);
-                }
-            }
-        }
-        best
-    }
-
-    fn set_reg(&mut self, key: (u32, u32), shadow: RegShadow) {
-        self.shadow_bytes += reg_shadow_bytes(&shadow);
-        if let Some(old) = self.regs.insert(key, shadow) {
-            self.shadow_bytes -= reg_shadow_bytes(&old);
-        }
-    }
-
-    fn remove_reg(&mut self, key: (u32, u32)) {
-        if let Some(old) = self.regs.remove(&key) {
-            self.shadow_bytes -= reg_shadow_bytes(&old);
-        }
-    }
-
-    fn set_mem(&mut self, base: u64, shadow: MemShadow) {
-        self.shadow_bytes += mem_shadow_bytes(&shadow);
-        if let Some(old) = self.mem.insert(base, shadow) {
-            self.shadow_bytes -= mem_shadow_bytes(&old);
-        }
-    }
-
-    fn plain(&mut self, inst_id: InstId, act: u32, addr: Option<u64>) {
-        let Some(inst) = self.module.inst(inst_id) else {
-            return; // terminator or unknown: Ret handled separately
-        };
-        match &inst.kind {
-            InstKind::Load {
-                dst,
-                addr: addr_op,
-                ty,
-            } => {
-                let a = addr.expect("load event carries an address");
-                if self.next_seq(2).is_none() {
-                    return;
-                }
-                let mut lanes = Vec::new();
-                self.lanes_of_value(act, *addr_op, &mut lanes);
-                if let Some(s) = self.mem_shadow_for(a, ty.size()) {
-                    max_into(&mut lanes, &s.lanes);
-                }
-                self.set_reg(
-                    (act, dst.0),
-                    RegShadow {
-                        lanes: trim(lanes),
-                        load_addr: a,
-                    },
-                );
-            }
-            InstKind::Store {
-                addr: addr_op,
-                value,
-                ty,
-            } => {
-                let a = addr.expect("store event carries an address");
-                let Some(seq) = self.next_seq(2) else {
-                    return;
-                };
-                let mut lanes = Vec::new();
-                self.lanes_of_value(act, *addr_op, &mut lanes);
-                self.lanes_of_value(act, *value, &mut lanes);
-                self.set_mem(
-                    a,
-                    MemShadow {
-                        lanes: trim(lanes),
-                        seq: seq as u32,
-                        size: u8::try_from(ty.size()).expect("scalar store size fits u8"),
-                    },
-                );
-            }
-            other => {
-                let mut lanes = Vec::new();
-                let mut tuple = Vec::new();
-                let mut operands = 0u64;
-                inst.for_each_use(|v| {
-                    operands += 1;
-                    self.lanes_of_value(act, v, &mut lanes);
-                    tuple.push(self.addr_of_value(act, v));
-                });
-                if self.next_seq(operands).is_none() {
-                    return;
-                }
-                let int_candidate = self.policy == CandidatePolicy::IntAndFloatArith
-                    && matches!(
-                        &inst.kind,
-                        InstKind::Bin { ty, .. } if ty.is_int()
-                    );
-                if inst.is_fp_candidate() || int_candidate {
-                    let elem = match other {
-                        InstKind::Bin { ty, .. } => ty.size(),
-                        _ => 8,
-                    };
-                    let lane = match self.lane_of.get(&inst_id) {
-                        Some(&l) => l,
-                        None => {
-                            let l = self.lane_insts.len();
-                            self.lane_of.insert(inst_id, l);
-                            self.lane_insts.push(inst_id);
-                            self.lane_elem.push(elem);
-                            self.lane_arity.push(tuple.len());
-                            self.accum.push(Vec::new());
-                            l
-                        }
-                    };
-                    debug_assert_eq!(
-                        self.lane_arity[lane],
-                        tuple.len(),
-                        "a static instruction's operand count is fixed"
-                    );
-                    // Algorithm 1: this instance's timestamp is the max
-                    // predecessor timestamp plus one.
-                    let t = lanes.get(lane).copied().unwrap_or(0) as usize + 1;
-                    if lanes.len() <= lane {
-                        lanes.resize(lane + 1, 0);
-                    }
-                    lanes[lane] = t as u32;
-                    let groups = &mut self.accum[lane];
-                    if groups.len() < t {
-                        self.stats.partitions += (t - groups.len()) as u64;
-                        self.accum_bytes += (t - groups.len()) * std::mem::size_of::<Vec<u64>>();
-                        groups.resize_with(t, Vec::new);
-                    }
-                    self.accum_bytes += 8 * tuple.len();
-                    groups[t - 1].extend_from_slice(&tuple);
-                    self.stats.candidate_instances += 1;
-                }
-                if let Some(dst) = inst.dst() {
-                    self.set_reg(
-                        (act, dst.0),
-                        RegShadow {
-                            lanes: trim(lanes),
-                            load_addr: 0,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn call(&mut self, inst_id: InstId, act: u32, callee_act: u32) {
-        let Some(inst) = self.module.inst(inst_id) else {
-            return;
-        };
-        let InstKind::Call { dst, callee, args } = &inst.kind else {
-            return;
-        };
-        // Dependences pass through calls: callee parameters inherit the
-        // caller-side producers of the arguments.
-        let callee_fn = self.module.function(*callee);
-        for (i, arg) in args.iter().enumerate() {
-            let Value::Reg(r) = arg else {
-                continue;
+    /// A returned activation's register frame is released and reused, so
+    /// the register shadow does not grow with the number of calls.
+    #[test]
+    fn returned_frames_are_released() {
+        let peak = |calls: u32| {
+            let src = format!(
+                "double acc = 0.0;
+                 double f(double x) {{ double y = x * 2.0; return y + 1.0; }}
+                 void main() {{ for (int i = 0; i < {calls}; i++) {{ acc = acc + f((double)i); }} }}"
+            );
+            let module = vectorscope_frontend::compile("calls.kern", &src).unwrap();
+            let options = AnalysisOptions {
+                threads: 1,
+                ..AnalysisOptions::default()
             };
-            let copy = self.regs.get(&(act, r.0)).map(|s| RegShadow {
-                lanes: s.lanes.clone(),
-                load_addr: s.load_addr,
-            });
-            if let Some(copy) = copy {
-                let param = callee_fn.params()[i];
-                self.set_reg((callee_act, param.0), copy);
-            }
-        }
-        self.call_stack.push((callee_act, act, dst.map(|d| d.0)));
-    }
-
-    fn ret(&mut self, inst_id: InstId, act: u32) {
-        let Some((callee_act, caller_act, dst)) = self.call_stack.pop() else {
-            return; // capture started inside this activation; nothing to link
+            let batch = analyze_program(&module, &options).unwrap();
+            let streamed = stream_program(&module, &options).unwrap();
+            assert_eq!(batch.metrics, streamed.metrics, "{calls} calls");
+            assert_eq!(batch.per_inst, streamed.per_inst, "{calls} calls");
+            streamed.stats.peak_reg_shadow
         };
-        if callee_act != act {
-            // Mismatched linkage (capture started mid-call): restore and
-            // bail out conservatively.
-            self.call_stack.push((callee_act, caller_act, dst));
-            return;
-        }
-        let ret_shadow = self
-            .module
-            .terminator(inst_id)
-            .and_then(|t| match t.kind {
-                TermKind::Ret(Some(Value::Reg(r))) => self.regs.get(&(act, r.0)),
-                _ => None,
-            })
-            .map(|s| RegShadow {
-                lanes: s.lanes.clone(),
-                load_addr: s.load_addr,
-            });
-        if let Some(d) = dst {
-            match ret_shadow {
-                Some(s) => self.set_reg((caller_act, d), s),
-                None => self.remove_reg((caller_act, d)),
-            }
-        }
+        assert_eq!(peak(10), peak(1000));
     }
 }

@@ -100,7 +100,7 @@ impl SortedTuples {
     /// which makes the `(tuple, payload)` order total — `sort_unstable`
     /// over it is therefore indistinguishable from the stable
     /// sort-by-tuple the subpartition structure is defined against.
-    pub(crate) fn from_flat(keys: Vec<u64>, payloads: Vec<u32>, arity: usize) -> SortedTuples {
+    pub(crate) fn from_flat(keys: &[u64], payloads: Vec<u32>, arity: usize) -> SortedTuples {
         debug_assert_eq!(keys.len(), payloads.len() * arity);
         let mut order: Vec<u32> = (0..payloads.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| {
@@ -152,7 +152,7 @@ fn sorted_tuples(ddg: &Ddg, nodes: &[u32]) -> SortedTuples {
         arity * nodes.len(),
         "instances of one static instruction must share an operand count"
     );
-    SortedTuples::from_flat(keys, nodes.to_vec(), arity)
+    SortedTuples::from_flat(&keys, nodes.to_vec(), arity)
 }
 
 /// Runs both stride stages over a sorted tuple arena — the payload-generic

@@ -18,6 +18,10 @@
 //! precise across "multiple levels of function calls" (paper §4.2) without
 //! inserting artificial merge points.
 //!
+//! The last-writer rules live in [`resolve`], the one resolver this crate
+//! and the streaming engine (`vectorscope::stream`) share; the builder here
+//! only turns each resolved instance into a node and a CSR operand row.
+//!
 //! Execution order is a topological order of the DDG, so all downstream
 //! analyses are single forward scans.
 //!
@@ -35,10 +39,12 @@
 pub mod dot;
 pub mod kumar;
 pub mod looplevel;
+pub mod resolve;
 
+use resolve::{Handler, NodeEvent, Resolver, Writer};
 use std::collections::HashMap;
-use vectorscope_ir::{InstId, InstKind, Module, TermKind, Value};
-use vectorscope_trace::{EventKind, Trace};
+use vectorscope_ir::{Inst, InstId, InstKind, Module};
+use vectorscope_trace::Trace;
 
 /// Sentinel in operand-writer lists: the operand had no producer inside the
 /// trace (immediate, or value produced before capture started).
@@ -55,6 +61,13 @@ pub enum BuildError {
         /// How many nodes the trace tried to create (saturated count).
         nodes: usize,
     },
+    /// A load or store event carries no address, so its memory dependence
+    /// cannot be resolved (a corrupt or foreign trace; the VM always
+    /// records one).
+    MissingAddress {
+        /// The memory instruction of the offending event.
+        inst: InstId,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -65,6 +78,13 @@ impl std::fmt::Display for BuildError {
                 "trace produces {nodes}+ DDG nodes; u32 node ids support at most {}",
                 u32::MAX - 1
             ),
+            BuildError::MissingAddress { inst } => {
+                write!(
+                    f,
+                    "trace event of memory instruction #{} has no address",
+                    inst.0
+                )
+            }
         }
     }
 }
@@ -103,6 +123,23 @@ pub enum CandidatePolicy {
     /// caller's business; here every integer arithmetic instruction is
     /// characterized.
     IntAndFloatArith,
+}
+
+impl CandidatePolicy {
+    /// The element size in bytes of `inst`'s operands if `inst` is a
+    /// candidate under this policy — the unit the stride check compares
+    /// against — or `None` if it is not a candidate.
+    pub fn candidate_elem_size(self, inst: &Inst) -> Option<u64> {
+        match &inst.kind {
+            InstKind::Bin { ty, .. }
+                if inst.is_fp_candidate()
+                    || (self == CandidatePolicy::IntAndFloatArith && ty.is_int()) =>
+            {
+                Some(ty.size())
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Per-node flags.
@@ -166,20 +203,9 @@ impl Ddg {
     ///
     /// # Panics
     ///
-    /// Panics if the trace overflows `u32` node ids (≥ 2^32 − 1 nodes); use
-    /// [`Ddg::try_build`] to handle that case as an error.
+    /// Panics where [`Ddg::try_build`] returns an error.
     pub fn build(module: &Module, trace: &Trace) -> Ddg {
-        Ddg::try_build(module, trace).expect("DDG node ids overflowed u32")
-    }
-
-    /// Like [`Ddg::build`], but with an explicit [`CandidatePolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace overflows `u32` node ids (≥ 2^32 − 1 nodes); use
-    /// [`Ddg::try_build_with_policy`] to handle that case as an error.
-    pub fn build_with_policy(module: &Module, trace: &Trace, policy: CandidatePolicy) -> Ddg {
-        Ddg::try_build_with_policy(module, trace, policy).expect("DDG node ids overflowed u32")
+        Ddg::try_build(module, trace).expect("trace builds a DDG")
     }
 
     /// Fallible variant of [`Ddg::build`].
@@ -187,25 +213,32 @@ impl Ddg {
     /// # Errors
     ///
     /// Returns [`BuildError::TraceTooLarge`] if the trace would create
-    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]).
+    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]), and
+    /// [`BuildError::MissingAddress`] for a load or store event without an
+    /// address.
     pub fn try_build(module: &Module, trace: &Trace) -> Result<Ddg, BuildError> {
         Ddg::try_build_with_policy(module, trace, CandidatePolicy::FloatArith)
     }
 
-    /// Fallible variant of [`Ddg::build_with_policy`].
+    /// Like [`Ddg::try_build`], but with an explicit [`CandidatePolicy`].
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::TraceTooLarge`] if the trace would create
-    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]).
+    /// The errors of [`Ddg::try_build`].
     pub fn try_build_with_policy(
         module: &Module,
         trace: &Trace,
         policy: CandidatePolicy,
     ) -> Result<Ddg, BuildError> {
-        let mut b = Builder::new(module);
-        b.policy = policy;
-        b.run(trace)
+        let mut builder = Builder {
+            ddg: Ddg::empty(),
+            policy,
+        };
+        let mut resolver = Resolver::new(module);
+        for event in trace {
+            resolver.step(event, &mut builder)?;
+        }
+        Ok(builder.ddg)
     }
 
     /// Number of nodes (dynamic instruction instances).
@@ -374,7 +407,7 @@ impl Ddg {
     ///
     /// Panics if a writer index is forward-referencing.
     pub fn synthetic(nodes: Vec<SyntheticNode>) -> Ddg {
-        let mut out = Builder::new_synthetic();
+        let mut out = Ddg::empty();
         for (i, n) in nodes.into_iter().enumerate() {
             for &w in &n.writers {
                 assert!(
@@ -388,15 +421,10 @@ impl Ddg {
                 SyntheticClass::Candidate => NodeClass::Candidate,
                 SyntheticClass::Other => NodeClass::Other,
             };
-            out.push_node(n.inst, n.addr, class, &n.writers)
-                .expect("synthetic graph overflowed u32 node ids");
+            out.op_writers.extend_from_slice(&n.writers);
+            out.push_node(n.inst, n.addr, class);
         }
-        Ddg {
-            nodes: out.nodes,
-            op_offsets: out.op_offsets,
-            op_writers: out.op_writers,
-            elem_size: out.elem_size,
-        }
+        out
     }
 }
 
@@ -426,321 +454,62 @@ pub struct SyntheticNode {
     pub writers: Vec<u32>,
 }
 
-/// Base-2 log of the shadow page size: 4096 byte-addresses per page.
-const PAGE_BITS: u64 = 12;
-/// Slots per shadow page.
-const PAGE_SLOTS: usize = 1 << PAGE_BITS;
-
-/// One page of the memory shadow: the last writer node and its write size
-/// for every base address in a 4 KiB-aligned address range. Slots with
-/// `nodes == EXTERNAL` are empty.
-struct ShadowPage {
-    nodes: Box<[u32]>,
-    sizes: Box<[u8]>,
-}
-
-/// Paged direct-map shadow of the most recent memory write per base
-/// address (the layout the streaming engine's packed shadows proved).
-/// Hot probes index a flat page instead of hashing every base in the
-/// 15-wide overlap window; pages stay sparse in a map keyed by
-/// `addr >> PAGE_BITS`, so writes anywhere in the `u64` address space —
-/// including the saturating probes near `u64::MAX` exercised by the
-/// overlap regression tests — cost one page, not an address-space-sized
-/// table.
-struct MemShadow {
-    pages: HashMap<u64, ShadowPage>,
-}
-
-impl MemShadow {
-    fn new() -> MemShadow {
-        MemShadow {
-            pages: HashMap::new(),
-        }
-    }
-
-    /// Records `node` as the most recent writer at base `addr` with write
-    /// size `size` (at most 8 bytes).
-    fn insert(&mut self, addr: u64, node: u32, size: u64) {
-        debug_assert!(size <= u8::MAX as u64, "write size fits the shadow");
-        let page = self
-            .pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| ShadowPage {
-                nodes: vec![EXTERNAL; PAGE_SLOTS].into_boxed_slice(),
-                sizes: vec![0u8; PAGE_SLOTS].into_boxed_slice(),
-            });
-        let slot = (addr & (PAGE_SLOTS as u64 - 1)) as usize;
-        page.nodes[slot] = node;
-        page.sizes[slot] = size as u8;
-    }
-}
-
-struct Builder<'m> {
-    module: Option<&'m Module>,
-    nodes: Vec<Node>,
-    op_offsets: Vec<u32>,
-    op_writers: Vec<u32>,
-    /// (activation, register) -> writer node.
-    reg_writers: HashMap<(u32, u32), u32>,
-    /// Write base address -> (writer node, write size). Reads resolve to
-    /// the most recent write overlapping any byte of the read (see
-    /// [`Builder::mem_writer_for`]).
-    mem_writers: MemShadow,
-    /// Open calls: (callee activation, caller activation, dst register).
-    call_stack: Vec<(u32, u32, Option<u32>)>,
-    elem_size: HashMap<InstId, u64>,
+/// The DDG's payload handler: one node and one CSR operand row per
+/// resolved instance. Writer identity is the resolver's sequence number,
+/// which is exactly the node id, so the payload is empty.
+struct Builder {
+    ddg: Ddg,
     policy: CandidatePolicy,
 }
 
-impl<'m> Builder<'m> {
-    fn new_synthetic() -> Builder<'static> {
-        Builder {
-            module: None,
+impl Ddg {
+    fn empty() -> Ddg {
+        Ddg {
             nodes: Vec::new(),
             op_offsets: vec![0],
             op_writers: Vec::new(),
-            reg_writers: HashMap::new(),
-            mem_writers: MemShadow::new(),
-            call_stack: Vec::new(),
             elem_size: HashMap::new(),
-            policy: CandidatePolicy::FloatArith,
         }
     }
 
-    fn new(module: &'m Module) -> Self {
-        Builder {
-            module: Some(module),
-            nodes: Vec::new(),
-            op_offsets: vec![0],
-            op_writers: Vec::new(),
-            reg_writers: HashMap::new(),
-            mem_writers: MemShadow::new(),
-            call_stack: Vec::new(),
-            elem_size: HashMap::new(),
-            policy: CandidatePolicy::FloatArith,
-        }
-    }
-
-    /// The most recent write overlapping the read `[addr, addr + size)`.
-    ///
-    /// Scans every base address that an overlapping write could have been
-    /// recorded under: the 7 bytes below `addr` (accesses are at most
-    /// 8 bytes) plus every byte inside the read. All hits compete on
-    /// recency — node ids increase in execution order, so the youngest
-    /// overlapping writer is simply the largest id. An exact-base hit gets
-    /// no shortcut: a newer write at a *different* base can overlap the
-    /// read and must win (mixed-size aliased stores, see `overlap_tests`).
-    ///
-    /// The window arithmetic saturates so addresses at the very top of the
-    /// `u64` space cannot overflow; a write whose extent wraps past
-    /// `u64::MAX` is treated as overlapping (conservative, unreachable
-    /// through the in-repo memory model).
-    fn mem_writer_for(&self, addr: u64, size: u64) -> u32 {
-        if size == 0 {
-            return EXTERNAL;
-        }
-        let mut best = EXTERNAL;
-        let lo = addr.saturating_sub(7);
-        let hi = addr.saturating_add(size - 1); // last byte of the read
-                                                // The probe window is at most 15 bases wide, so it touches at most
-                                                // two shadow pages; cache the current page across iterations.
-        let mut cached: Option<(u64, Option<&ShadowPage>)> = None;
-        for base in lo..=hi {
-            let page_id = base >> PAGE_BITS;
-            let page = match &cached {
-                Some((id, p)) if *id == page_id => *p,
-                _ => {
-                    let p = self.mem_writers.pages.get(&page_id);
-                    cached = Some((page_id, p));
-                    p
-                }
-            };
-            let Some(page) = page else { continue };
-            let slot = (base & (PAGE_SLOTS as u64 - 1)) as usize;
-            let n = page.nodes[slot];
-            if n == EXTERNAL {
-                continue;
-            }
-            let ws = page.sizes[slot] as u64;
-            // `base <= hi` already holds; overlap needs the write to
-            // reach back to `addr` (always true for bases >= addr).
-            let reaches = ws > 0 && base.checked_add(ws - 1).is_none_or(|end| end >= addr);
-            if reaches && (best == EXTERNAL || n > best) {
-                best = n;
-            }
-        }
-        best
-    }
-
-    fn writer_of(&self, activation: u32, v: Value) -> u32 {
-        match v {
-            Value::Reg(r) => self
-                .reg_writers
-                .get(&(activation, r.0))
-                .copied()
-                .unwrap_or(EXTERNAL),
-            _ => EXTERNAL,
-        }
-    }
-
-    fn run(mut self, trace: &Trace) -> Result<Ddg, BuildError> {
-        for event in trace {
-            match event.kind {
-                EventKind::Plain { addr } => self.plain(event.inst, event.activation, addr)?,
-                EventKind::Call { callee_activation } => {
-                    self.call(event.inst, event.activation, callee_activation)
-                }
-                EventKind::Ret => self.ret(event.inst, event.activation),
-            }
-        }
-        Ok(Ddg {
-            nodes: self.nodes,
-            op_offsets: self.op_offsets,
-            op_writers: self.op_writers,
-            elem_size: self.elem_size,
-        })
-    }
-
-    fn push_node(
-        &mut self,
-        inst: InstId,
-        addr: u64,
-        class: NodeClass,
-        writers: &[u32],
-    ) -> Result<u32, BuildError> {
-        let id = checked_node_id(self.nodes.len())?;
+    /// Appends a node whose operand writers were pushed onto `op_writers`.
+    fn push_node(&mut self, inst: InstId, addr: u64, class: NodeClass) {
         self.nodes.push(Node { inst, addr, class });
-        self.op_writers.extend_from_slice(writers);
-        self.op_offsets
-            .push(checked_node_id(self.op_writers.len())?);
-        Ok(id)
+        self.op_offsets.push(
+            u32::try_from(self.op_writers.len()).expect("the resolver bounds operands by u32"),
+        );
+    }
+}
+
+impl Handler<()> for Builder {
+    fn operand(&mut self, writer: Option<&Writer<()>>) {
+        self.ddg.op_writers.push(writer.map_or(EXTERNAL, |w| w.seq));
     }
 
-    fn plain(&mut self, inst_id: InstId, act: u32, addr: Option<u64>) -> Result<(), BuildError> {
-        let Some(inst) = self
-            .module
-            .expect("trace builder has a module")
-            .inst(inst_id)
-        else {
-            return Ok(()); // terminator or unknown: Ret handled separately
-        };
-        match &inst.kind {
-            InstKind::Load {
-                dst,
-                addr: addr_op,
-                ty,
-            } => {
-                let a = addr.expect("load event carries an address");
-                let writers = vec![
-                    self.writer_of(act, *addr_op),
-                    self.mem_writer_for(a, ty.size()),
-                ];
-                let n = self.push_node(inst_id, a, NodeClass::Load, &writers)?;
-                self.reg_writers.insert((act, dst.0), n);
-                let _ = ty;
-            }
-            InstKind::Store {
-                addr: addr_op,
-                value,
-                ty,
-            } => {
-                let a = addr.expect("store event carries an address");
-                let writers = [self.writer_of(act, *addr_op), self.writer_of(act, *value)];
-                let n = self.push_node(inst_id, a, NodeClass::Store, &writers)?;
-                self.mem_writers.insert(a, n, ty.size());
-            }
-            other => {
-                let mut writers = Vec::new();
-                inst.for_each_use(|v| writers.push(self.writer_of(act, v)));
-                let int_candidate = self.policy == CandidatePolicy::IntAndFloatArith
-                    && matches!(
-                        &inst.kind,
-                        InstKind::Bin { ty, .. } if ty.is_int()
-                    );
-                let class = if inst.is_fp_candidate() || int_candidate {
-                    // Record the element size for the stride analysis.
-                    if let InstKind::Bin { ty, .. } = other {
-                        self.elem_size.entry(inst_id).or_insert(ty.size());
-                    }
+    fn node(&mut self, node: NodeEvent<'_>) {
+        let inst = node.inst;
+        let class = match &inst.kind {
+            InstKind::Load { .. } => NodeClass::Load,
+            InstKind::Store { .. } => NodeClass::Store,
+            kind => {
+                if let Some(elem) = self.policy.candidate_elem_size(inst) {
+                    // Recorded for the stride analysis.
+                    self.ddg.elem_size.entry(inst.id).or_insert(elem);
                     NodeClass::Candidate
+                } else if match kind {
+                    InstKind::Cast { to, .. } => to.is_float(),
+                    InstKind::Un { ty, .. }
+                    | InstKind::Intrin { ty, .. }
+                    | InstKind::Bin { ty, .. } => ty.is_float(),
+                    _ => false,
+                } {
+                    NodeClass::FloatOther
                 } else {
-                    let float_result = match other {
-                        InstKind::Cast { to, .. } => to.is_float(),
-                        InstKind::Un { ty, .. } | InstKind::Intrin { ty, .. } => ty.is_float(),
-                        InstKind::Bin { ty, .. } => ty.is_float(),
-                        _ => false,
-                    };
-                    if float_result {
-                        NodeClass::FloatOther
-                    } else {
-                        NodeClass::Other
-                    }
-                };
-                let n = self.push_node(inst_id, 0, class, &writers)?;
-                if let Some(dst) = inst.dst() {
-                    self.reg_writers.insert((act, dst.0), n);
+                    NodeClass::Other
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn call(&mut self, inst_id: InstId, act: u32, callee_act: u32) {
-        let Some(inst) = self
-            .module
-            .expect("trace builder has a module")
-            .inst(inst_id)
-        else {
-            return;
         };
-        let InstKind::Call { dst, callee, args } = &inst.kind else {
-            return;
-        };
-        // Parameters in the callee activation are defined by the caller-side
-        // producers of the arguments (no call node: dependences pass
-        // through).
-        let callee_fn = self
-            .module
-            .expect("trace builder has a module")
-            .function(*callee);
-        for (i, arg) in args.iter().enumerate() {
-            let w = self.writer_of(act, *arg);
-            if w != EXTERNAL {
-                let param = callee_fn.params()[i];
-                self.reg_writers.insert((callee_act, param.0), w);
-            }
-        }
-        self.call_stack.push((callee_act, act, dst.map(|d| d.0)));
-    }
-
-    fn ret(&mut self, inst_id: InstId, act: u32) {
-        // The returned value's producer becomes the writer of the caller's
-        // destination register.
-        let Some((callee_act, caller_act, dst)) = self.call_stack.pop() else {
-            return; // capture started inside this activation; nothing to link
-        };
-        if callee_act != act {
-            // Mismatched linkage (capture started mid-call): restore and
-            // bail out conservatively.
-            self.call_stack.push((callee_act, caller_act, dst));
-            return;
-        }
-        let ret_writer = self
-            .module
-            .expect("trace builder has a module")
-            .terminator(inst_id)
-            .and_then(|t| match t.kind {
-                TermKind::Ret(Some(v)) => Some(self.writer_of(act, v)),
-                _ => None,
-            })
-            .unwrap_or(EXTERNAL);
-        if let Some(d) = dst {
-            if ret_writer != EXTERNAL {
-                self.reg_writers.insert((caller_act, d), ret_writer);
-            } else {
-                self.reg_writers.remove(&(caller_act, d));
-            }
-        }
+        self.ddg.push_node(inst.id, node.addr, class);
     }
 }
 

@@ -1,0 +1,427 @@
+//! The one dependence resolver, shared by the DDG builder and the streaming
+//! engine (the paper's §3 shadow-memory rule).
+//!
+//! A register use depends on the most recent definition of that register
+//! in the same activation; a load depends on the most recent store
+//! overlapping any byte it reads. [`Resolver`] finds those writers and
+//! hands them to a [`Handler`], whose returned *payload* it records for
+//! the instance's destination. The DDG's payload is `()` (a writer's
+//! sequence number is its node id); the streaming engine's is the
+//! timestamp lanes plus the load address.
+//!
+//! Resident state is O(live frames + live cells): one dense register frame
+//! per activation that has not returned (recycled at its `ret`), and a
+//! paged memory shadow: a 4-byte cell index per byte address of each
+//! touched 4 KiB page, plus one cell (writer and width) per written base.
+
+use crate::{checked_node_id, BuildError, EXTERNAL};
+use std::collections::HashMap;
+use vectorscope_ir::{Inst, InstId, InstKind, Module, RegId, TermKind, Value};
+use vectorscope_trace::{EventKind, TraceEvent};
+
+/// What an engine records per writer.
+pub trait Payload: Clone + Default {
+    /// Heap bytes owned beyond the inline size, for [`Resolver::resident_bytes`].
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl Payload for () {}
+
+/// The most recent writer of a register or memory cell.
+#[derive(Debug, Clone)]
+pub struct Writer<P> {
+    /// The writer's sequence number: its DDG node id ([`EXTERNAL`] marks
+    /// an empty register slot).
+    pub seq: u32,
+    /// What the engine recorded for it.
+    pub payload: P,
+}
+
+impl<P: Default> Writer<P> {
+    fn empty() -> Self {
+        Writer {
+            seq: EXTERNAL,
+            payload: P::default(),
+        }
+    }
+}
+
+/// One node-producing dynamic instance, announced to [`Handler::node`]
+/// after its operand writers.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeEvent<'m> {
+    /// Sequence number (node id), increasing in execution order.
+    pub seq: u32,
+    /// The static instruction.
+    pub inst: &'m Inst,
+    /// The accessed address for loads and stores, 0 otherwise.
+    pub addr: u64,
+}
+
+/// The engine side of the resolver: turns resolved operands into payloads.
+pub trait Handler<P> {
+    /// One operand writer of the pending instance, in operand order: the
+    /// register uses, then for a load its memory writer. `None` means no
+    /// producer inside the trace (an immediate, or a value produced before
+    /// capture started).
+    fn operand(&mut self, writer: Option<&Writer<P>>);
+
+    /// The pending instance, after its operands. The returned payload is
+    /// recorded for its destination register or stored cell, if any.
+    fn node(&mut self, node: NodeEvent<'_>) -> P;
+}
+
+/// A call whose callee has not returned yet.
+struct OpenCall {
+    callee: u32,
+    caller: u32,
+    dst: Option<RegId>,
+}
+
+/// Base-2 log of the shadow page size: 4096 byte addresses per page.
+const PAGE_BITS: u32 = 12;
+/// Byte addresses (slots) per shadow page.
+const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+
+/// The last store at one base address: its writer and width in bytes.
+struct Cell<P> {
+    writer: Writer<P>,
+    size: u8,
+}
+
+fn slot_of(addr: u64) -> usize {
+    (addr & (PAGE_SLOTS as u64 - 1)) as usize
+}
+
+/// Last-writer resolution over a trace, generic over the engine payload.
+///
+/// Feed every event of a capture region to [`step`](Self::step) in order.
+pub struct Resolver<'m, P> {
+    module: &'m Module,
+
+    /// Register frames, indexed by frame handle; a returned activation's
+    /// frame is cleared and reused by the next one.
+    frames: Vec<Vec<Writer<P>>>,
+    /// Handles of cleared frames.
+    free_frames: Vec<u32>,
+    /// Activation id → frame handle, for activations that have not
+    /// returned.
+    frame_of: HashMap<u32, u32>,
+    /// The last activation looked up and its frame (most events hit it).
+    current: Option<(u32, u32)>,
+    calls: Vec<OpenCall>,
+
+    /// Shadow pages, found through `page_of` by `addr >> PAGE_BITS` and
+    /// indexed by `slot_of(addr)`: the index of the base's cell, or
+    /// [`EXTERNAL`] if nothing was stored there.
+    pages: Vec<Box<[u32]>>,
+    page_of: HashMap<u64, u32>,
+    cells: Vec<Cell<P>>,
+
+    /// Instances resolved so far (the next sequence number).
+    nodes: usize,
+    /// Operand writers handed out so far (the batch CSR length).
+    operands: u64,
+
+    /// Register slots held by frames of live activations.
+    live_reg_slots: usize,
+    /// Register slots allocated across all frames, live or recycled.
+    frame_capacity: usize,
+    /// Heap bytes owned by stored payloads.
+    payload_heap: usize,
+}
+
+impl<'m, P: Payload> Resolver<'m, P> {
+    /// A resolver with no writers, for one capture region of `module`.
+    pub fn new(module: &'m Module) -> Self {
+        Resolver {
+            module,
+            frames: Vec::new(),
+            free_frames: Vec::new(),
+            frame_of: HashMap::new(),
+            current: None,
+            calls: Vec::new(),
+            pages: Vec::new(),
+            page_of: HashMap::new(),
+            cells: Vec::new(),
+            nodes: 0,
+            operands: 0,
+            live_reg_slots: 0,
+            frame_capacity: 0,
+            payload_heap: 0,
+        }
+    }
+
+    /// Node-producing instances resolved so far.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Register slots held by the frames of activations that have not
+    /// returned.
+    pub fn live_reg_slots(&self) -> usize {
+        self.live_reg_slots
+    }
+
+    /// Distinct memory base addresses written so far.
+    pub fn mem_cells(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Resident bytes of the resolver's state at its allocated size:
+    /// register frames (recycled ones included), shadow pages, cell
+    /// payloads, payload heap and the open-call stack.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let frames = self.frame_capacity * size_of::<Writer<P>>()
+            + self.frames.capacity() * size_of::<Vec<Writer<P>>>()
+            + (self.frame_of.capacity() + self.free_frames.capacity()) * 2 * 4
+            + self.calls.capacity() * size_of::<OpenCall>();
+        let memory = self.pages.len() * PAGE_SLOTS * 4
+            + self.pages.capacity() * size_of::<Box<[u32]>>()
+            + self.page_of.capacity() * (8 + 4)
+            + self.cells.capacity() * size_of::<Cell<P>>();
+        frames + memory + self.payload_heap
+    }
+
+    /// Resolves one event, calling `handler` for it if it is a node.
+    ///
+    /// Call and return events create no node: dependences flow through
+    /// them. A callee's parameters take the caller-side writers of the
+    /// arguments, and the call's destination register takes the writer of
+    /// the returned value. Events of instructions unknown to the module
+    /// are ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::MissingAddress`] for a load or store event without an
+    /// address; [`BuildError::TraceTooLarge`] once node ids or the operand
+    /// count would overflow `u32`.
+    pub fn step(
+        &mut self,
+        event: &TraceEvent,
+        handler: &mut impl Handler<P>,
+    ) -> Result<(), BuildError> {
+        match event.kind {
+            EventKind::Plain { addr } => return self.plain(event, addr, handler),
+            EventKind::Call { callee_activation } => {
+                self.call(event.inst, event.activation, callee_activation)
+            }
+            EventKind::Ret => self.ret(event.inst, event.activation),
+        }
+        Ok(())
+    }
+
+    fn plain(
+        &mut self,
+        event: &TraceEvent,
+        addr: Option<u64>,
+        handler: &mut impl Handler<P>,
+    ) -> Result<(), BuildError> {
+        let module = self.module;
+        let Some(inst) = module.inst(event.inst) else {
+            return Ok(()); // terminator or unknown: returns arrive as Ret
+        };
+        let is_memory = matches!(inst.kind, InstKind::Load { .. } | InstKind::Store { .. });
+        let addr = match addr {
+            Some(a) if is_memory => a,
+            None if is_memory => return Err(BuildError::MissingAddress { inst: event.inst }),
+            _ => 0,
+        };
+        let seq = checked_node_id(self.nodes)?;
+        let frame = self.frame(event.activation);
+        let mut operands = 0u64;
+        inst.for_each_use(|v| {
+            operands += 1;
+            handler.operand(self.read(frame, v));
+        });
+        if let InstKind::Load { ty, .. } = inst.kind {
+            operands += 1;
+            handler.operand(self.latest_overlapping_store(addr, ty.size()));
+        }
+        self.operands += operands;
+        if self.operands >= u64::from(u32::MAX) {
+            return Err(BuildError::TraceTooLarge {
+                nodes: self.nodes + 1,
+            });
+        }
+        self.nodes += 1;
+        let payload = handler.node(NodeEvent { seq, inst, addr });
+        if let InstKind::Store { ty, .. } = inst.kind {
+            self.store(addr, ty.size(), seq, payload);
+        } else if let Some(dst) = inst.dst() {
+            self.write(frame, dst, Writer { seq, payload });
+        }
+        Ok(())
+    }
+
+    fn call(&mut self, id: InstId, act: u32, callee_act: u32) {
+        let module = self.module;
+        let Some(InstKind::Call { dst, callee, args }) = module.inst(id).map(|i| &i.kind) else {
+            return;
+        };
+        let caller = self.frame(act);
+        let callee_frame = self.frame(callee_act);
+        for (&arg, &param) in args.iter().zip(module.function(*callee).params()) {
+            if let Some(w) = self.read(caller, arg).cloned() {
+                self.write(callee_frame, param, w);
+            }
+        }
+        self.calls.push(OpenCall {
+            callee: callee_act,
+            caller: act,
+            dst: *dst,
+        });
+    }
+
+    fn ret(&mut self, id: InstId, act: u32) {
+        // A return only links to the innermost open call, and only if that
+        // call entered this activation: when capture started mid-call there
+        // is nothing (or the wrong call) to link, so the stack stays as is.
+        if let Some(call) = self.calls.pop_if(|c| c.callee == act) {
+            if let Some(dst) = call.dst {
+                let returned = match self.module.terminator(id).map(|t| &t.kind) {
+                    Some(TermKind::Ret(Some(v))) => {
+                        let callee = self.frame(act);
+                        self.read(callee, *v).cloned()
+                    }
+                    _ => None,
+                };
+                let caller = self.frame(call.caller);
+                self.write(caller, dst, returned.unwrap_or_else(Writer::empty));
+            }
+        }
+        self.release(act);
+    }
+
+    /// The frame handle of activation `act`, creating its frame on first
+    /// use.
+    fn frame(&mut self, act: u32) -> u32 {
+        if let Some((a, f)) = self.current {
+            if a == act {
+                return f;
+            }
+        }
+        let f = match self.frame_of.get(&act) {
+            Some(&f) => f,
+            None => {
+                let f = self.free_frames.pop().unwrap_or_else(|| {
+                    self.frames.push(Vec::new());
+                    u32::try_from(self.frames.len() - 1).expect("live activations fit u32")
+                });
+                self.frame_of.insert(act, f);
+                f
+            }
+        };
+        self.current = Some((act, f));
+        f
+    }
+
+    /// Clears the frame of a returned activation for reuse.
+    fn release(&mut self, act: u32) {
+        let Some(f) = self.frame_of.remove(&act) else {
+            return;
+        };
+        if self.current.is_some_and(|(a, _)| a == act) {
+            self.current = None;
+        }
+        let frame = &mut self.frames[f as usize];
+        self.live_reg_slots -= frame.len();
+        self.payload_heap -= frame.iter().map(|s| s.payload.heap_bytes()).sum::<usize>();
+        frame.clear();
+        self.free_frames.push(f);
+    }
+
+    fn read(&self, frame: u32, v: Value) -> Option<&Writer<P>> {
+        let Value::Reg(r) = v else {
+            return None;
+        };
+        let w = self.frames[frame as usize].get(r.index())?;
+        (w.seq != EXTERNAL).then_some(w)
+    }
+
+    fn write(&mut self, frame: u32, r: RegId, w: Writer<P>) {
+        let regs = &mut self.frames[frame as usize];
+        if r.index() >= regs.len() {
+            let (len, cap) = (regs.len(), regs.capacity());
+            regs.resize_with(r.index() + 1, Writer::empty);
+            self.live_reg_slots += regs.len() - len;
+            self.frame_capacity += regs.capacity() - cap;
+        }
+        let old = std::mem::replace(&mut regs[r.index()], w);
+        self.payload_heap += regs[r.index()].payload.heap_bytes();
+        self.payload_heap -= old.payload.heap_bytes();
+    }
+
+    /// The most recent store overlapping the read `[addr, addr + size)`.
+    ///
+    /// Scans every base an overlapping store could be recorded under: the
+    /// 7 bytes below `addr` (accesses are at most 8 bytes) and every byte
+    /// of the read. All hits compete on recency (sequence numbers increase
+    /// in execution order); an exact-base hit gets no shortcut, since a
+    /// newer store at a different base can overlap the read and must win
+    /// (mixed-size aliased stores). The window saturates at the ends of the
+    /// `u64` space; a store whose extent wraps past `u64::MAX` counts as
+    /// overlapping.
+    fn latest_overlapping_store(&self, addr: u64, size: u64) -> Option<&Writer<P>> {
+        if size == 0 {
+            return None;
+        }
+        let lo = addr.saturating_sub(7);
+        let hi = addr.saturating_add(size - 1);
+        let mut best: Option<&Cell<P>> = None;
+        let mut base = lo;
+        // The window spans at most two pages: scan it page by page.
+        loop {
+            let last = hi.min(base | (PAGE_SLOTS as u64 - 1));
+            if let Some(&p) = self.page_of.get(&(base >> PAGE_BITS)) {
+                let page = &self.pages[p as usize];
+                for b in base..=last {
+                    // `EXTERNAL` (never stored) indexes past the last cell.
+                    let Some(cell) = self.cells.get(page[slot_of(b)] as usize) else {
+                        continue;
+                    };
+                    let width = u64::from(cell.size);
+                    let reaches =
+                        width > 0 && b.checked_add(width - 1).is_none_or(|end| end >= addr);
+                    if reaches && best.is_none_or(|top| cell.writer.seq > top.writer.seq) {
+                        best = Some(cell);
+                    }
+                }
+            }
+            if last == hi {
+                break;
+            }
+            base = last + 1;
+        }
+        best.map(|c| &c.writer)
+    }
+
+    fn store(&mut self, addr: u64, size: u64, seq: u32, payload: P) {
+        let p = match self.page_of.get(&(addr >> PAGE_BITS)) {
+            Some(&p) => p,
+            None => {
+                let p = u32::try_from(self.pages.len()).expect("shadow pages fit u32");
+                self.pages
+                    .push(vec![EXTERNAL; PAGE_SLOTS].into_boxed_slice());
+                self.page_of.insert(addr >> PAGE_BITS, p);
+                p
+            }
+        };
+        let cell = Cell {
+            writer: Writer { seq, payload },
+            size: u8::try_from(size).expect("scalar accesses are at most 8 bytes"),
+        };
+        self.payload_heap += cell.writer.payload.heap_bytes();
+        let handle = &mut self.pages[p as usize][slot_of(addr)];
+        if *handle == EXTERNAL {
+            *handle = u32::try_from(self.cells.len()).expect("cells are bounded by node ids");
+            self.cells.push(cell);
+        } else {
+            let old = std::mem::replace(&mut self.cells[*handle as usize], cell);
+            self.payload_heap -= old.writer.payload.heap_bytes();
+        }
+    }
+}

@@ -303,3 +303,48 @@ fn analyze_program_failures_are_errors_not_panics() {
     assert!(e.to_string().contains("x.kern"));
     assert!(std::error::Error::source(&e).is_none());
 }
+
+/// A load event without an address (a corrupt or foreign trace) is a typed
+/// error in both engines, raised by the shared resolver — not a panic.
+#[test]
+fn memory_events_without_an_address_are_errors_not_panics() {
+    use vectorscope::StreamingAnalyzer;
+    use vectorscope_ddg::{BuildError, CandidatePolicy};
+    use vectorscope_ir::InstKind;
+    use vectorscope_trace::{Trace, TraceEvent};
+
+    let src = "double x = 1.0; double y = 0.0; void main() { y = x + 1.0; }";
+    let module = vectorscope_frontend::compile("noaddr.kern", src).unwrap();
+    let mut vm = Vm::new(&module);
+    vm.set_capture(CaptureSpec::Program, "all");
+    vm.run_main().unwrap();
+    let load = vm
+        .take_trace()
+        .unwrap()
+        .events()
+        .iter()
+        .map(|e| e.inst)
+        .find(|&id| {
+            matches!(
+                module.inst(id).map(|i| &i.kind),
+                Some(InstKind::Load { .. })
+            )
+        })
+        .expect("the program loads x");
+    let mut trace = Trace::new("no-address");
+    trace.push(TraceEvent::plain(load, 0, None));
+
+    let want = BuildError::MissingAddress { inst: load };
+    assert_eq!(Ddg::try_build(&module, &trace).err(), Some(want.clone()));
+
+    let mut analyzer = StreamingAnalyzer::new(&module, CandidatePolicy::FloatArith);
+    for e in &trace {
+        analyzer.consume(e);
+    }
+    let streamed = analyzer.finish(&Default::default());
+    assert_eq!(streamed.err(), Some(want.clone()));
+
+    let e = Error::from(want);
+    assert_eq!(e, Error::MissingAddress { inst: load });
+    assert!(e.to_string().contains("no address"), "{e}");
+}
