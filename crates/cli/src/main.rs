@@ -68,12 +68,92 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The flags one subcommand accepts.
+struct Flags {
+    /// Whether it runs the analysis pipeline, and so also accepts
+    /// [`ANALYSIS_SWITCHES`] and [`ANALYSIS_OPTIONS`].
+    analysis: bool,
+    /// Flags without a value.
+    switches: &'static [&'static str],
+    /// Flags followed by a value.
+    options: &'static [&'static str],
+}
+
+const fn flags(
+    analysis: bool,
+    switches: &'static [&'static str],
+    options: &'static [&'static str],
+) -> Flags {
+    Flags {
+        analysis,
+        switches,
+        options,
+    }
+}
+
+const ANALYSIS_SWITCHES: &[&str] = &["--break-reductions", "--integer-ops", "--streaming"];
+const ANALYSIS_OPTIONS: &[&str] = &["--threshold", "--threads", "--engine"];
+
+/// Every subcommand and the flags it accepts.
+const SUBCOMMANDS: &[(&str, Flags)] = &[
+    ("analyze", flags(true, &["--verbose", "--json"], &[])),
+    (
+        "stats",
+        flags(
+            false,
+            &["--integer-ops", "--json"],
+            &["--threads", "--engine"],
+        ),
+    ),
+    ("profile", flags(false, &["--phases"], &["--engine"])),
+    ("vectorize", flags(false, &[], &[])),
+    ("trace", flags(false, &[], &["--out", "--engine"])),
+    ("ir", flags(false, &["--no-verify"], &[])),
+    ("kernels", flags(false, &[], &[])),
+    ("kernel", flags(true, &["--verbose", "--json"], &[])),
+    ("triage", flags(true, &[], &[])),
+    ("gap", flags(true, &["--json", "--all-kernels"], &[])),
+    ("parallelism", flags(false, &[], &["--engine"])),
+    (
+        "ddg",
+        flags(false, &["--candidates-only"], &["--out", "--engine"]),
+    ),
+    ("suite", flags(true, &[], &[])),
+    ("table", flags(false, &[], &[])),
+    ("fig", flags(false, &[], &[])),
+];
+
+/// Rejects a flag `cmd` does not accept, and an option without its value.
+fn check_flags(cmd: &str, f: &Flags, rest: &[String]) -> Result<(), String> {
+    let is = |own: &[&str], shared: &[&str], a: &str| {
+        own.contains(&a) || (f.analysis && shared.contains(&a))
+    };
+    let mut args = rest.iter();
+    while let Some(a) = args.next() {
+        if is(f.options, ANALYSIS_OPTIONS, a) {
+            if args.next().is_none() {
+                return Err(format!("{cmd}: option `{a}` needs a value"));
+            }
+        } else if a.len() > 1 && a.starts_with('-') && !is(f.switches, ANALYSIS_SWITCHES, a) {
+            return Err(format!("{cmd}: unknown flag `{a}`"));
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         return usage();
     };
     let rest = &args[1..];
+    let Some((_, flags)) = SUBCOMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return usage();
+    };
+    if let Err(e) = check_flags(cmd, flags, rest) {
+        eprintln!("vscope: {e} (run `vscope` for usage)");
+        return ExitCode::from(2);
+    }
     let result = match cmd.as_str() {
         "analyze" => cmd_analyze(rest),
         "stats" => cmd_stats(rest),

@@ -55,6 +55,37 @@ fn unknown_command_prints_usage() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_by_name() {
+    let path = write_temp("flags.kern", SAXPY);
+    let file = path.to_str().unwrap();
+    for args in [
+        &["analyze", file, "--thrads", "2"][..],
+        &["trace", file, "--verbose"],
+        &["gap", "--all-kernel"],
+        &["table", "2", "--json"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_vscope"))
+            .args(args)
+            .output()
+            .expect("vscope runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {err}"
+        );
+    }
+    // An option that needs a value and has none is rejected too.
+    let (_, err, ok) = vscope(&["analyze", file, "--threads"]);
+    assert!(!ok);
+    assert!(err.contains("`--threads` needs a value"), "{err}");
+    // Accepted flags still work, the shared analysis ones included.
+    let (_, err, ok) = vscope(&["analyze", file, "--threads", "2", "--streaming", "--json"]);
+    assert!(ok, "{err}");
+}
+
+#[test]
 fn analyze_produces_table() {
     let path = write_temp("saxpy.kern", SAXPY);
     let (out, err, ok) = vscope(&["analyze", path.to_str().unwrap(), "--verbose"]);

@@ -5,7 +5,7 @@ use crate::report::LoopReport;
 use crate::stream::{StreamOutcome, StreamingAnalyzer};
 use std::cell::RefCell;
 use std::rc::Rc;
-use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg};
+use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg, DdgBuilder};
 use vectorscope_frontend::CompileError;
 use vectorscope_interp::{CaptureSpec, Engine, Vm, VmError, VmOptions};
 use vectorscope_ir::loops::LoopId;
@@ -241,27 +241,48 @@ pub struct ProgramAnalysis {
 /// whole-benchmark rows like the paper's Table 3, where one number
 /// characterizes the whole kernel rather than a single loop).
 ///
+/// The DDG is built from the VM's event sink while the program runs, so
+/// the trace is never buffered.
+///
 /// # Errors
 ///
-/// Returns [`Error::Vm`] if execution fails and [`Error::TraceUnavailable`]
-/// if the VM hands back no trace for the armed program capture.
+/// Returns [`Error::Vm`] if execution fails, and [`Error::TraceTooLarge`]
+/// or [`Error::MissingAddress`] if the run cannot be built into a DDG.
 pub fn analyze_program(
     module: &Module,
     options: &AnalysisOptions,
 ) -> Result<ProgramAnalysis, Error> {
-    let mut vm = Vm::with_options(module, options.vm_options());
-    vm.set_capture(CaptureSpec::Program, module.name());
-    vm.run_main()?;
-    let trace = vm.take_trace().ok_or_else(|| Error::TraceUnavailable {
-        what: format!("program capture of `{}`", module.name()),
-    })?;
-    let ddg = Ddg::try_build_with_policy(module, &trace, options.candidate_policy())?;
+    let builder = DdgBuilder::new(module, options.candidate_policy());
+    let ddg = run_sink(module, options, builder, DdgBuilder::push)?.finish()?;
     let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
     Ok(ProgramAnalysis {
         metrics,
         per_inst,
         ddg,
     })
+}
+
+/// Runs `main` once with `sink` fed every event of the whole-program
+/// capture through `push`, and hands the sink back.
+fn run_sink<'m, S: 'm>(
+    module: &'m Module,
+    options: &AnalysisOptions,
+    sink: S,
+    push: fn(&mut S, &vectorscope_trace::TraceEvent),
+) -> Result<S, Error> {
+    let cell = Rc::new(RefCell::new(sink));
+    let sink_cell = Rc::clone(&cell);
+    let mut vm = Vm::with_options(module, options.vm_options());
+    vm.add_sink(
+        CaptureSpec::Program,
+        Box::new(move |e| push(&mut sink_cell.borrow_mut(), e)),
+    );
+    vm.run_main()?;
+    drop(vm); // releases the sink closure's Rc clone
+    Ok(Rc::try_unwrap(cell)
+        .ok()
+        .expect("sink closure dropped with the VM")
+        .into_inner())
 }
 
 /// Streams the entire execution of `main` through the bounded-memory
@@ -279,22 +300,8 @@ pub fn analyze_program(
 /// if the run exceeds `u32` instance ids (the same limit as the batch
 /// builder).
 pub fn stream_program(module: &Module, options: &AnalysisOptions) -> Result<StreamOutcome, Error> {
-    let cell = Rc::new(RefCell::new(StreamingAnalyzer::new(
-        module,
-        options.candidate_policy(),
-    )));
-    let sink_cell = Rc::clone(&cell);
-    let mut vm = Vm::with_options(module, options.vm_options());
-    vm.add_sink(
-        CaptureSpec::Program,
-        Box::new(move |e| sink_cell.borrow_mut().consume(e)),
-    );
-    vm.run_main()?;
-    drop(vm); // releases the sink closure's Rc clone
-    let analyzer = Rc::try_unwrap(cell)
-        .ok()
-        .expect("sink closure dropped with the VM")
-        .into_inner();
+    let analyzer = StreamingAnalyzer::new(module, options.candidate_policy());
+    let analyzer = run_sink(module, options, analyzer, StreamingAnalyzer::consume)?;
     Ok(analyzer.finish(&options.metric_options())?)
 }
 

@@ -127,12 +127,18 @@ pub fn partition(ddg: &Ddg, inst: InstId, ignore_self_deps: &HashSet<u32>) -> Pa
 ///
 /// Produces exactly the same [`Partitions`] (group structure, ordering, and
 /// membership) as calling [`partition`] once per instruction, but touches
-/// each DDG node and edge once instead of once per candidate: timestamps
-/// are kept as `insts.len()` lanes of `u32` per node in one flat,
-/// node-major vector, so the per-edge inner loop is a contiguous
-/// element-wise `max` over the predecessor's lanes. On multi-statement
-/// kernels this turns the former `O(k · (V + E))` pointer-chasing
-/// re-scans into one cache-friendly pass (see `DESIGN.md`).
+/// each DDG node and edge once instead of once per candidate: a node's
+/// timestamps for all `insts.len()` instructions form one *row*, so the
+/// per-edge inner loop is a contiguous element-wise `max` over the
+/// predecessor's row. On multi-statement kernels this turns the former
+/// `O(k · (V + E))` pointer-chasing re-scans into one cache-friendly pass
+/// (see `DESIGN.md`).
+///
+/// Rows live in a slab and each node keeps only a row id: a node whose
+/// timestamps equal one predecessor's (it forwards that row, the common
+/// case) shares the row, and only candidate instances (their lanes are
+/// bumped) and true merges (the maximum equals no predecessor's row)
+/// allocate one. Row 0 is the all-zero row.
 ///
 /// `ignore_sets[j]` lists the nodes whose *outgoing* dependence
 /// contributions are ignored while timestamping lane `j` — the reduction
@@ -148,6 +154,36 @@ pub fn partition_all(
     insts: &[InstId],
     ignore_sets: &[&HashSet<u32>],
 ) -> Vec<Partitions> {
+    timestamp_rows(ddg, insts, ignore_sets).0
+}
+
+/// No lane / no row.
+const NONE: u32 = u32::MAX;
+
+/// Whether `a ≥ b` and whether `b ≥ a`, lane by lane, for two timestamp
+/// rows of equal length or two rows trimmed of trailing zeros (the longer
+/// one then has a non-zero lane the other lacks).
+pub(crate) fn dominance(a: &[u32], b: &[u32]) -> (bool, bool) {
+    let (mut a_ge, mut b_ge) = (a.len() >= b.len(), b.len() >= a.len());
+    for (x, y) in a.iter().zip(b) {
+        a_ge &= x >= y;
+        b_ge &= y >= x;
+    }
+    (a_ge, b_ge)
+}
+
+/// Row `r` of a slab of `k`-wide rows.
+fn row(rows: &[u32], r: u32, k: usize) -> &[u32] {
+    &rows[r as usize * k..][..k]
+}
+
+/// [`partition_all`], also returning how many timestamp rows it allocated
+/// (row 0 included).
+fn timestamp_rows(
+    ddg: &Ddg,
+    insts: &[InstId],
+    ignore_sets: &[&HashSet<u32>],
+) -> (Vec<Partitions>, usize) {
     assert!(
         ignore_sets.is_empty() || ignore_sets.len() == insts.len(),
         "ignore_sets must be empty or match insts ({} vs {})",
@@ -156,14 +192,17 @@ pub fn partition_all(
     );
     let k = insts.len();
     if k == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
-    // Lane index per tracked instruction. Duplicate entries in `insts` each
-    // get their own (identical) lane, preserving output arity.
-    let mut lanes_of: std::collections::HashMap<InstId, Vec<usize>> =
-        std::collections::HashMap::with_capacity(k);
-    for (j, &inst) in insts.iter().enumerate() {
-        lanes_of.entry(inst).or_default().push(j);
+    // Lanes per tracked instruction, by `InstId`: the first lane, then
+    // `next_lane` chains duplicate entries of `insts`, each of which gets
+    // its own (identical) lane, preserving output arity.
+    let table = insts.iter().map(|i| i.index() + 1).max().unwrap_or(0);
+    let mut first_lane = vec![NONE; table];
+    let mut next_lane = vec![NONE; k];
+    for (j, inst) in insts.iter().enumerate().rev() {
+        next_lane[j] = first_lane[inst.index()];
+        first_lane[inst.index()] = j as u32;
     }
     // Union of all ignore sets: the fast path skips per-lane membership
     // checks entirely for predecessors no lane ignores (the common case —
@@ -172,47 +211,92 @@ pub fn partition_all(
         ignore_sets.iter().flat_map(|s| s.iter().copied()).collect();
 
     let v = ddg.len();
-    // Node-major timestamp lanes: ts[n * k + j] is instruction j's
-    // Algorithm 1 timestamp at node n.
-    let mut ts = vec![0u32; v * k];
+    // `rows[r * k + j]` is lane j of row r; `row_of[n]` is node n's row.
+    let mut rows = vec![0u32; k];
+    let mut row_of: Vec<u32> = Vec::with_capacity(v);
     let mut groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); k];
     let mut cur = vec![0u32; k];
     for n in 0..v as u32 {
-        cur.fill(0);
+        // The node's row so far: row `fwd` while it equals one predecessor
+        // row, else (`fwd == NONE`) the true merge held in `cur`.
+        let mut fwd = 0u32;
         for p in ddg.preds(n) {
-            let pred_lanes = &ts[p as usize * k..p as usize * k + k];
-            if ignored_anywhere.is_empty() || !ignored_anywhere.contains(&p) {
-                for (c, &t) in cur.iter_mut().zip(pred_lanes) {
-                    *c = (*c).max(t);
+            let r = row_of[p as usize];
+            if r == 0 || r == fwd {
+                continue;
+            }
+            let pr = row(&rows, r, k);
+            if !ignored_anywhere.is_empty() && ignored_anywhere.contains(&p) {
+                if fwd != NONE {
+                    cur.copy_from_slice(row(&rows, fwd, k));
                 }
+                let mut raised = false;
+                for (j, (c, &t)) in cur.iter_mut().zip(pr).enumerate() {
+                    if t > *c && !ignore_sets[j].contains(&p) {
+                        *c = t;
+                        raised = true;
+                    }
+                }
+                if raised {
+                    fwd = NONE;
+                }
+                continue;
+            }
+            if fwd == 0 {
+                fwd = r;
+                continue;
+            }
+            let current = if fwd == NONE {
+                &cur[..]
             } else {
-                for (j, (c, &t)) in cur.iter_mut().zip(pred_lanes).enumerate() {
-                    if !ignore_sets[j].contains(&p) {
+                row(&rows, fwd, k)
+            };
+            match dominance(current, pr) {
+                (true, _) => {}
+                (false, true) => fwd = r,
+                (false, false) => {
+                    if fwd != NONE {
+                        cur.copy_from_slice(row(&rows, fwd, k));
+                        fwd = NONE;
+                    }
+                    for (c, &t) in cur.iter_mut().zip(pr) {
                         *c = (*c).max(t);
                     }
                 }
             }
         }
-        if ddg.is_candidate(n) {
-            if let Some(lanes) = lanes_of.get(&ddg.inst(n)) {
-                for &j in lanes {
-                    cur[j] += 1;
-                    let idx = (cur[j] - 1) as usize;
-                    let g = &mut groups[j];
-                    if g.len() <= idx {
-                        g.resize_with(idx + 1, Vec::new);
-                    }
-                    g[idx].push(n);
-                }
-            }
+        let mut lane = if ddg.is_candidate(n) {
+            first_lane.get(ddg.inst(n).index()).copied().unwrap_or(NONE)
+        } else {
+            NONE
+        };
+        if lane != NONE && fwd != NONE {
+            cur.copy_from_slice(row(&rows, fwd, k));
+            fwd = NONE;
         }
-        ts[n as usize * k..n as usize * k + k].copy_from_slice(&cur);
+        while lane != NONE {
+            let j = lane as usize;
+            cur[j] += 1;
+            let idx = (cur[j] - 1) as usize;
+            let g = &mut groups[j];
+            if g.len() <= idx {
+                g.resize_with(idx + 1, Vec::new);
+            }
+            g[idx].push(n);
+            lane = next_lane[j];
+        }
+        if fwd == NONE {
+            fwd = u32::try_from(rows.len() / k).expect("rows are bounded by node ids");
+            rows.extend_from_slice(&cur);
+        }
+        row_of.push(fwd);
     }
-    insts
+    let parts = insts
         .iter()
         .zip(groups)
         .map(|(&inst, groups)| Partitions { inst, groups })
-        .collect()
+        .collect();
+    (parts, rows.len() / k)
 }
 
 #[cfg(test)]
@@ -511,6 +595,45 @@ mod tests {
             writers: vec![EXTERNAL],
         }]);
         assert!(partition_all(&ddg, &[], &[]).is_empty());
+    }
+
+    /// Row sharing: nodes that forward a single predecessor row reuse it,
+    /// including two predecessors holding one shared row, and a shared row
+    /// that one lane ignores (through one of its holders) while another
+    /// lane reads it.
+    #[test]
+    fn partition_all_shares_forwarded_rows() {
+        let (a, b) = (InstId(1), InstId(2));
+        let node = |inst: InstId, class: SyntheticClass, writers: Vec<u32>| SyntheticNode {
+            inst,
+            addr: 0,
+            class,
+            writers,
+        };
+        let (cand, other) = (SyntheticClass::Candidate, SyntheticClass::Other);
+        let ddg = Ddg::synthetic(vec![
+            node(a, cand, vec![EXTERNAL]),      // 0: row [1, 0]
+            node(InstId(0), other, vec![0]),    // 1: forwards 0's row
+            node(InstId(0), other, vec![0]),    // 2: forwards 0's row
+            node(a, cand, vec![1, 2]),          // 3: one shared row -> [2, 0]
+            node(b, cand, vec![3]),             // 4: [2, 1]
+            node(InstId(0), other, vec![4]),    // 5: forwards 4's row
+            node(a, cand, vec![5]),             // 6: lane a ignores 5 -> [1, 1]
+            node(b, cand, vec![5, 4]),          // 7: lane b reads the shared row -> [2, 2]
+            node(InstId(0), other, vec![3, 4]), // 8: [2, 1] covers [2, 0]: forwards 4's row
+            node(InstId(0), other, vec![6, 3]), // 9: a true merge -> [2, 1]
+            node(a, cand, vec![9]),             // 10: [3, 1]
+        ]);
+        let ignore_a: HashSet<u32> = [5].into();
+        let none = HashSet::new();
+        let (parts, rows) = timestamp_rows(&ddg, &[a, b], &[&ignore_a, &none]);
+        assert_eq!(parts[0].groups, vec![vec![0, 6], vec![3], vec![10]]);
+        assert_eq!(parts[1].groups, vec![vec![4], vec![7]]);
+        assert_eq!(parts[0], partition(&ddg, a, &ignore_a));
+        assert_eq!(parts[1], partition(&ddg, b, &none));
+        // Row 0, one row per candidate instance and one for the true merge
+        // at node 9: nodes 1, 2, 5 and 8 share rows.
+        assert_eq!(rows, 8);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! runs the same [`vectorscope_ddg::resolve::Resolver`] the DDG builder
 //! runs — register frames, call/ret linkage and the
 //! most-recent-*overlapping*-store probe exist once — with timestamp lanes
-//! as the writer payload instead of nothing.
+//! as the writer payload instead of nothing. A writer's lanes are a shared
+//! row: an instance that only forwards one operand's row holds that same
+//! row, and only candidate instances and true merges make a new one.
 //! [`StreamingAnalyzer::finish`] then runs the shared stride core and the
 //! shared metrics assembler, producing reports **byte-identical** to
 //! [`crate::analyze_ddg`] over the batch DDG of the same event stream.
@@ -35,7 +37,7 @@
 //! instances)`: a returned activation's register frame is recycled, the
 //! memory shadow holds the touched pages plus one payload per written base,
 //! and the accumulators hold one tuple per candidate instance. On the
-//! bundled kernel with the longest trace that is 6.3× below the batch DDG
+//! bundled kernel with the longest trace that is 5.7× below the batch DDG
 //! footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
 //! observability counters (`vscope stats`).
 //!
@@ -45,11 +47,13 @@
 //! `break_reductions` is requested.
 
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
+use crate::partition::dominance;
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
-use std::collections::HashMap;
-use vectorscope_ddg::resolve::{Handler, NodeEvent, Payload, Resolver, Writer};
+use std::mem::size_of;
+use std::sync::Arc;
+use vectorscope_ddg::resolve::{Access, Handler, NodeEvent, Payload, Resolver, Writer};
 use vectorscope_ddg::{BuildError, CandidatePolicy};
-use vectorscope_ir::{InstId, InstKind, Module};
+use vectorscope_ir::{InstId, Module};
 use vectorscope_trace::TraceEvent;
 
 /// Observability counters of one streaming run.
@@ -108,14 +112,20 @@ pub struct StreamOutcome {
 
 /// What the streaming engine records per writer, reduced to what later
 /// instances can still ask of it.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 struct Lanes {
-    /// Algorithm 1 timestamp per candidate lane, with trailing zeros
-    /// trimmed; lanes past the stored length are implicitly 0 (a timestamp
-    /// is 0 until the lane's first candidate instance, so a writer that ran
-    /// before that instance has lane value 0 by construction — the same
-    /// argument that lets lanes be created lazily at all).
-    ts: Box<[u32]>,
+    /// The writer's timestamp row (`None`: every lane is 0): Algorithm 1
+    /// timestamps per candidate lane, with trailing zeros trimmed. Lanes
+    /// past its length are implicitly 0 (a timestamp is 0 until the lane's
+    /// first candidate instance, so a writer that ran before that instance
+    /// has lane value 0 by construction — the same argument that lets lanes
+    /// be created lazily at all).
+    ///
+    /// A row is shared by every writer that only forwards it: a new row
+    /// exists only for a candidate instance (its lane is bumped) or for an
+    /// instance whose operand rows truly merge (their maximum equals none
+    /// of them).
+    row: Option<Arc<[u32]>>,
     /// The writer's dynamic address if it was a load, else 0 — exactly the
     /// contribution `Ddg::operand_addrs` derives from the writer node.
     load_addr: u64,
@@ -123,20 +133,26 @@ struct Lanes {
 
 impl Payload for Lanes {
     fn heap_bytes(&self) -> usize {
-        4 * self.ts.len()
+        match &self.row {
+            // The shared allocation: two reference counts and the lanes.
+            Some(row) if Arc::strong_count(row) == 1 => 2 * size_of::<usize>() + 4 * row.len(),
+            _ => 0,
+        }
     }
 }
+
+/// No lane assigned yet.
+const NO_LANE: u32 = u32::MAX;
 
 /// The streaming engine's payload handler: Algorithm 1 timestamp lanes and
 /// the per-(candidate, timestamp) operand-tuple accumulators.
 #[derive(Default)]
 struct Partitioner {
-    policy: CandidatePolicy,
-
     // --- candidate lanes, created at first appearance (before a lane's
     // first instance every timestamp of that lane is 0, so late creation
     // loses nothing and reproduces `Ddg::candidate_insts` order).
-    lane_of: HashMap<InstId, usize>,
+    /// Lane of each candidate instruction, indexed by `InstId`.
+    lane_of: Vec<u32>,
     lane_insts: Vec<InstId>,
     lane_elem: Vec<u64>,
     /// Operand count of each lane's static instruction (fixed per lane —
@@ -149,29 +165,75 @@ struct Partitioner {
     accum: Vec<Vec<Vec<u64>>>,
     accum_bytes: usize,
 
-    /// The pending instance's lanes: the max over its operand writers.
+    // --- the pending instance: the max over its operand writers' rows.
+    /// The operand row that max equals, while it equals one.
+    forward: Option<Arc<[u32]>>,
+    /// Whether the pending row is `lanes` instead (a true merge, or a
+    /// candidate's bumped row).
+    materialized: bool,
     lanes: Vec<u32>,
     /// The pending instance's operand address tuple.
     tuple: Vec<u64>,
 }
 
 impl Partitioner {
+    /// Joins one operand writer's row into the pending instance's row.
+    fn join(&mut self, row: &Arc<[u32]>) {
+        let current: &[u32] = match &self.forward {
+            _ if self.materialized => &self.lanes,
+            None => {
+                self.forward = Some(Arc::clone(row));
+                return;
+            }
+            Some(f) if Arc::ptr_eq(f, row) => return,
+            Some(f) => f,
+        };
+        match dominance(current, row) {
+            (true, _) => {}
+            (false, true) => {
+                self.forward = Some(Arc::clone(row));
+                self.materialized = false;
+            }
+            (false, false) => {
+                if !self.materialized {
+                    let f = self.forward.take().expect("a forwarded row");
+                    self.lanes.clear();
+                    self.lanes.extend_from_slice(&f);
+                    self.materialized = true;
+                }
+                if row.len() > self.lanes.len() {
+                    self.lanes.resize(row.len(), 0);
+                }
+                for (d, &s) in self.lanes.iter_mut().zip(row.iter()) {
+                    *d = (*d).max(s);
+                }
+            }
+        }
+    }
+
     /// Algorithm 1 for one candidate instance: its timestamp is the max
     /// predecessor timestamp in its lane plus one, and its operand tuple
     /// joins that partition's accumulator.
     fn candidate(&mut self, inst: InstId, elem: u64) {
-        let lane = match self.lane_of.get(&inst) {
-            Some(&l) => l,
-            None => {
-                let l = self.lane_insts.len();
-                self.lane_of.insert(inst, l);
-                self.lane_insts.push(inst);
-                self.lane_elem.push(elem);
-                self.lane_arity.push(self.tuple.len());
-                self.accum.push(Vec::new());
-                l
+        if !self.materialized {
+            self.lanes.clear();
+            if let Some(f) = self.forward.take() {
+                self.lanes.extend_from_slice(&f);
             }
-        };
+            self.materialized = true;
+        }
+        let i = inst.index();
+        if i >= self.lane_of.len() {
+            self.lane_of.resize(i + 1, NO_LANE);
+        }
+        if self.lane_of[i] == NO_LANE {
+            self.lane_of[i] = self.lane_insts.len() as u32;
+            self.lane_insts.push(inst);
+            self.lane_elem.push(elem);
+            self.lane_arity.push(self.tuple.len());
+            self.accum.push(Vec::new());
+        }
+        let lane = self.lane_of[i] as usize;
         debug_assert_eq!(
             self.lane_arity[lane],
             self.tuple.len(),
@@ -184,7 +246,7 @@ impl Partitioner {
         self.lanes[lane] = t as u32;
         let groups = &mut self.accum[lane];
         if groups.len() < t {
-            self.accum_bytes += (t - groups.len()) * std::mem::size_of::<Vec<u64>>();
+            self.accum_bytes += (t - groups.len()) * size_of::<Vec<u64>>();
             groups.resize_with(t, Vec::new);
         }
         self.accum_bytes += 8 * self.tuple.len();
@@ -198,35 +260,29 @@ impl Handler<Lanes> for Partitioner {
             self.tuple.push(0);
             return;
         };
-        // Element-wise max, extending with implicit zeros first.
-        if w.payload.ts.len() > self.lanes.len() {
-            self.lanes.resize(w.payload.ts.len(), 0);
-        }
-        for (d, &s) in self.lanes.iter_mut().zip(&w.payload.ts) {
-            *d = (*d).max(s);
-        }
         self.tuple.push(w.payload.load_addr);
+        if let Some(row) = &w.payload.row {
+            self.join(row);
+        }
     }
 
     fn node(&mut self, node: NodeEvent<'_>) -> Lanes {
-        if let Some(elem) = self.policy.candidate_elem_size(node.inst) {
+        if let Some(elem) = node.op.candidate_elem {
             self.candidate(node.inst.id, elem);
         }
+        let row = if self.materialized {
+            debug_assert_ne!(self.lanes.last(), Some(&0), "rows are trimmed");
+            Some(Arc::from(&self.lanes[..]))
+        } else {
+            self.forward.take()
+        };
+        self.materialized = false;
         self.tuple.clear();
-        // Freeze the working lanes without trailing zeros (implicitly-zero
-        // lanes read back identically).
-        let len = self
-            .lanes
-            .iter()
-            .rposition(|&t| t != 0)
-            .map_or(0, |i| i + 1);
-        let ts = Box::from(&self.lanes[..len]);
-        self.lanes.clear();
-        let load_addr = match node.inst.kind {
-            InstKind::Load { .. } => node.addr,
+        let load_addr = match node.op.access {
+            Access::Load(_) => node.addr,
             _ => 0,
         };
-        Lanes { ts, load_addr }
+        Lanes { row, load_addr }
     }
 }
 
@@ -252,11 +308,8 @@ impl<'m> StreamingAnalyzer<'m> {
     pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
         StreamingAnalyzer {
             module,
-            resolver: Resolver::new(module),
-            partitioner: Partitioner {
-                policy,
-                ..Partitioner::default()
-            },
+            resolver: Resolver::new(module, policy),
+            partitioner: Partitioner::default(),
             error: None,
             stats: StreamStats::default(),
         }

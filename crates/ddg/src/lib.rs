@@ -21,6 +21,8 @@
 //! The last-writer rules live in [`resolve`], the one resolver this crate
 //! and the streaming engine (`vectorscope::stream`) share; the builder here
 //! only turns each resolved instance into a node and a CSR operand row.
+//! [`DdgBuilder`] takes events one at a time, so a VM sink can build the
+//! graph while the program runs, without buffering a trace.
 //!
 //! Execution order is a topological order of the DDG, so all downstream
 //! analyses are single forward scans.
@@ -41,10 +43,10 @@ pub mod kumar;
 pub mod looplevel;
 pub mod resolve;
 
-use resolve::{Handler, NodeEvent, Resolver, Writer};
+use resolve::{Access, Handler, NodeEvent, Resolver, Writer};
 use std::collections::HashMap;
 use vectorscope_ir::{Inst, InstId, InstKind, Module};
-use vectorscope_trace::Trace;
+use vectorscope_trace::{Trace, TraceEvent};
 
 /// Sentinel in operand-writer lists: the operand had no producer inside the
 /// trace (immediate, or value produced before capture started).
@@ -154,7 +156,7 @@ enum NodeClass {
     Other,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     inst: InstId,
     /// Dynamic memory address for loads/stores, 0 otherwise.
@@ -183,7 +185,7 @@ struct Node {
 /// assert!(ddg.len() > 0);
 /// assert_eq!(ddg.candidate_nodes().count(), 4); // four fadd instances
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ddg {
     nodes: Vec<Node>,
     /// CSR offsets into `op_writers` (`nodes.len() + 1` entries).
@@ -230,15 +232,11 @@ impl Ddg {
         trace: &Trace,
         policy: CandidatePolicy,
     ) -> Result<Ddg, BuildError> {
-        let mut builder = Builder {
-            ddg: Ddg::empty(),
-            policy,
-        };
-        let mut resolver = Resolver::new(module);
+        let mut builder = DdgBuilder::new(module, policy);
         for event in trace {
-            resolver.step(event, &mut builder)?;
+            builder.push(event);
         }
-        Ok(builder.ddg)
+        builder.finish()
     }
 
     /// Number of nodes (dynamic instruction instances).
@@ -454,12 +452,61 @@ pub struct SyntheticNode {
     pub writers: Vec<u32>,
 }
 
+/// Builds a [`Ddg`] incrementally, one trace event at a time.
+///
+/// [`Ddg::try_build_with_policy`] is a loop over a buffered trace; a VM
+/// sink (`Vm::add_sink` in `vectorscope_interp`) can push the events as
+/// they are emitted instead, so the trace is never held in memory.
+pub struct DdgBuilder<'m> {
+    resolver: Resolver<'m, ()>,
+    nodes: NodeSink,
+    /// The first resolution error; later events are ignored.
+    error: Option<BuildError>,
+}
+
+impl<'m> DdgBuilder<'m> {
+    /// An empty graph over `module`, with candidates chosen by `policy`.
+    pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
+        DdgBuilder {
+            resolver: Resolver::new(module, policy),
+            nodes: NodeSink {
+                ddg: Ddg::empty(),
+                elem_recorded: Vec::new(),
+            },
+            error: None,
+        }
+    }
+
+    /// Adds one event of the capture region, in execution order.
+    pub fn push(&mut self, event: &TraceEvent) {
+        if self.error.is_none() {
+            if let Err(e) = self.resolver.step(event, &mut self.nodes) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// The graph of the events pushed so far.
+    ///
+    /// # Errors
+    ///
+    /// The first error any event raised: the errors of [`Ddg::try_build`].
+    pub fn finish(self) -> Result<Ddg, BuildError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.nodes.ddg),
+        }
+    }
+}
+
 /// The DDG's payload handler: one node and one CSR operand row per
 /// resolved instance. Writer identity is the resolver's sequence number,
 /// which is exactly the node id, so the payload is empty.
-struct Builder {
+struct NodeSink {
     ddg: Ddg,
-    policy: CandidatePolicy,
+    /// Candidate instructions whose element size is already in the graph,
+    /// by [`InstId`].
+    elem_recorded: Vec<bool>,
 }
 
 impl Ddg {
@@ -481,33 +528,39 @@ impl Ddg {
     }
 }
 
-impl Handler<()> for Builder {
+impl Handler<()> for NodeSink {
     fn operand(&mut self, writer: Option<&Writer<()>>) {
         self.ddg.op_writers.push(writer.map_or(EXTERNAL, |w| w.seq));
     }
 
     fn node(&mut self, node: NodeEvent<'_>) {
         let inst = node.inst;
-        let class = match &inst.kind {
-            InstKind::Load { .. } => NodeClass::Load,
-            InstKind::Store { .. } => NodeClass::Store,
-            kind => {
-                if let Some(elem) = self.policy.candidate_elem_size(inst) {
-                    // Recorded for the stride analysis.
-                    self.ddg.elem_size.entry(inst.id).or_insert(elem);
-                    NodeClass::Candidate
-                } else if match kind {
-                    InstKind::Cast { to, .. } => to.is_float(),
-                    InstKind::Un { ty, .. }
-                    | InstKind::Intrin { ty, .. }
-                    | InstKind::Bin { ty, .. } => ty.is_float(),
-                    _ => false,
-                } {
-                    NodeClass::FloatOther
-                } else {
-                    NodeClass::Other
+        let class = match (node.op.access, node.op.candidate_elem) {
+            (Access::Load(_), _) => NodeClass::Load,
+            (Access::Store(_), _) => NodeClass::Store,
+            (Access::None, Some(elem)) => {
+                // Recorded once per instruction, for the stride analysis.
+                let i = inst.id.index();
+                if i >= self.elem_recorded.len() {
+                    self.elem_recorded.resize(i + 1, false);
                 }
+                if !self.elem_recorded[i] {
+                    self.elem_recorded[i] = true;
+                    self.ddg.elem_size.insert(inst.id, elem);
+                }
+                NodeClass::Candidate
             }
+            (Access::None, None) => match inst.kind {
+                InstKind::Cast { to, .. } if to.is_float() => NodeClass::FloatOther,
+                InstKind::Un { ty, .. }
+                | InstKind::Intrin { ty, .. }
+                | InstKind::Bin { ty, .. }
+                    if ty.is_float() =>
+                {
+                    NodeClass::FloatOther
+                }
+                _ => NodeClass::Other,
+            },
         };
         self.ddg.push_node(inst.id, node.addr, class);
     }

@@ -2,8 +2,9 @@
 //! source → IR → VM/profile → sub-trace → DDG → partitions → metrics.
 
 use std::collections::HashSet;
-use vectorscope::{analyze_source, partition, AnalysisOptions, InstancePick};
-use vectorscope_ddg::Ddg;
+use vectorscope::metrics::{analyze_ddg, MetricOptions};
+use vectorscope::{analyze_program, analyze_source, partition, AnalysisOptions, InstancePick};
+use vectorscope_ddg::{CandidatePolicy, Ddg};
 use vectorscope_interp::{CaptureSpec, Vm};
 
 /// Shared helper: whole-program DDG of a source string.
@@ -316,4 +317,45 @@ fn moderate_scale_program_analyzes_in_bounds() {
         trace
     );
     assert!(packed.len() * 2 < trace.to_bytes().len());
+}
+
+/// `analyze_program` builds its DDG from the VM's event sink while the
+/// program runs; on every bundled kernel that graph, and the analysis over
+/// it, must equal the graph built from the buffered trace of the same run.
+#[test]
+fn sink_built_program_ddg_equals_trace_built() {
+    let options = AnalysisOptions {
+        threads: 1,
+        ..AnalysisOptions::default()
+    };
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
+        let mut vm = Vm::new(&module);
+        vm.set_capture(CaptureSpec::Program, &name);
+        vm.run_main().unwrap();
+        let trace = vm.take_trace().unwrap();
+        drop(vm);
+        let from_trace =
+            Ddg::try_build_with_policy(&module, &trace, CandidatePolicy::FloatArith).unwrap();
+
+        let program = analyze_program(&module, &options).unwrap();
+        assert_eq!(program.ddg.len(), from_trace.len(), "{name}: node count");
+        for n in 0..from_trace.len() as u32 {
+            assert_eq!(program.ddg.inst(n), from_trace.inst(n), "{name}: node {n}");
+            assert_eq!(program.ddg.addr(n), from_trace.addr(n), "{name}: node {n}");
+            assert_eq!(
+                program.ddg.operand_writers(n),
+                from_trace.operand_writers(n),
+                "{name}: node {n}"
+            );
+        }
+        // Node classes and element sizes are private: whole-graph equality
+        // covers them.
+        assert!(program.ddg == from_trace, "{name}: graphs differ");
+
+        let (metrics, per_inst) = analyze_ddg(&module, &from_trace, &MetricOptions::default());
+        assert_eq!(program.metrics, metrics, "{name}: metrics");
+        assert_eq!(program.per_inst, per_inst, "{name}: per-inst rows");
+    }
 }
