@@ -19,9 +19,9 @@
 
 use std::process::ExitCode;
 use vectorscope::report::{render_inst_breakdown, render_table};
-use vectorscope::{analyze_source, AnalysisOptions, Engine};
+use vectorscope::{analyze_source, AnalysisOptions};
 use vectorscope_autovec::{analyze_module, percent_packed};
-use vectorscope_interp::{CaptureSpec, Vm, VmOptions};
+use vectorscope_interp::{CaptureSpec, Vm};
 use vectorscope_kernels::Variant;
 
 /// The usage text. A plain multi-line literal (no `\` line continuations,
@@ -37,10 +37,6 @@ USAGE:
                                      events as they are emitted (reports
                                      are byte-identical to the default
                                      batch engine)
-                 [--engine E]        VM execution engine: `decoded` (the
-                                     default pre-decoded bytecode engine)
-                                     or `tree` (the tree-walking escape
-                                     hatch); outputs are byte-identical
   vscope stats <file.kern> [--json]    stream a whole run and report the
                                        engine's observability counters and
                                        peak memory vs. the batch pipeline
@@ -92,32 +88,25 @@ const fn flags(
 }
 
 const ANALYSIS_SWITCHES: &[&str] = &["--break-reductions", "--integer-ops", "--streaming"];
-const ANALYSIS_OPTIONS: &[&str] = &["--threshold", "--threads", "--engine"];
+const ANALYSIS_OPTIONS: &[&str] = &["--threshold", "--threads"];
 
 /// Every subcommand and the flags it accepts.
 const SUBCOMMANDS: &[(&str, Flags)] = &[
     ("analyze", flags(true, &["--verbose", "--json"], &[])),
     (
         "stats",
-        flags(
-            false,
-            &["--integer-ops", "--json"],
-            &["--threads", "--engine"],
-        ),
+        flags(false, &["--integer-ops", "--json"], &["--threads"]),
     ),
-    ("profile", flags(false, &["--phases"], &["--engine"])),
+    ("profile", flags(false, &["--phases"], &[])),
     ("vectorize", flags(false, &[], &[])),
-    ("trace", flags(false, &[], &["--out", "--engine"])),
+    ("trace", flags(false, &[], &["--out"])),
     ("ir", flags(false, &["--no-verify"], &[])),
     ("kernels", flags(false, &[], &[])),
     ("kernel", flags(true, &["--verbose", "--json"], &[])),
     ("triage", flags(true, &[], &[])),
     ("gap", flags(true, &["--json", "--all-kernels"], &[])),
-    ("parallelism", flags(false, &[], &["--engine"])),
-    (
-        "ddg",
-        flags(false, &["--candidates-only"], &["--out", "--engine"]),
-    ),
+    ("parallelism", flags(false, &[], &[])),
+    ("ddg", flags(false, &["--candidates-only"], &["--out"])),
     ("suite", flags(true, &[], &[])),
     ("table", flags(false, &[], &[])),
     ("fig", flags(false, &[], &[])),
@@ -135,10 +124,39 @@ fn check_flags(cmd: &str, f: &Flags, rest: &[String]) -> Result<(), String> {
                 return Err(format!("{cmd}: option `{a}` needs a value"));
             }
         } else if a.len() > 1 && a.starts_with('-') && !is(f.switches, ANALYSIS_SWITCHES, a) {
-            return Err(format!("{cmd}: unknown flag `{a}`"));
+            let mut known = [f.switches, f.options].concat();
+            if f.analysis {
+                known.extend(ANALYSIS_SWITCHES.iter().chain(ANALYSIS_OPTIONS));
+            }
+            let hint = known
+                .into_iter()
+                .map(|flag| (edit_distance(a, flag), flag))
+                .filter(|&(d, _)| d <= 2)
+                .min_by_key(|&(d, _)| d)
+                .map(|(_, flag)| format!(" (did you mean `{flag}`?)"))
+                .unwrap_or_default();
+            return Err(format!("{cmd}: unknown flag `{a}`{hint}"));
         }
     }
     Ok(())
+}
+
+/// Levenshtein distance between two flags, over bytes.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b = b.as_bytes();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, &x) in a.as_bytes().iter().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &y) in b.iter().enumerate() {
+            let next = (diag + usize::from(x != y))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
 }
 
 fn main() -> ExitCode {
@@ -206,7 +224,7 @@ fn positional(rest: &[String], idx: usize) -> Option<&str> {
             skip_next = false;
             continue;
         }
-        if a == "--threshold" || a == "--out" || a == "--threads" || a == "--engine" {
+        if a == "--threshold" || a == "--out" || a == "--threads" {
             skip_next = true;
             continue;
         }
@@ -234,34 +252,7 @@ fn analysis_options(rest: &[String]) -> Result<AnalysisOptions, Box<dyn std::err
     if let Some(t) = opt_value(rest, "--threads") {
         options.threads = t.parse::<usize>()?;
     }
-    options.engine = engine_opt(rest)?;
     Ok(options)
-}
-
-/// Parses `--engine decoded|tree` (default: the pre-decoded engine).
-fn engine_opt(rest: &[String]) -> Result<Engine, Box<dyn std::error::Error>> {
-    match opt_value(rest, "--engine") {
-        None => Ok(Engine::default()),
-        Some("decoded") => Ok(Engine::Decoded),
-        Some("tree") => Ok(Engine::Tree),
-        Some(other) => {
-            Err(format!("unknown engine `{other}` (expected `decoded` or `tree`)").into())
-        }
-    }
-}
-
-/// Builds a VM honoring `--engine` for the direct-VM subcommands.
-fn vm_for<'m>(
-    module: &'m vectorscope_ir::Module,
-    rest: &[String],
-) -> Result<Vm<'m>, Box<dyn std::error::Error>> {
-    Ok(Vm::with_options(
-        module,
-        VmOptions {
-            engine: engine_opt(rest)?,
-            ..VmOptions::default()
-        },
-    ))
 }
 
 /// Analyzes a source and prints its hot-loop table (shared by `analyze`
@@ -333,7 +324,7 @@ fn cmd_stats(rest: &[String]) -> CliResult {
 
     // Batch-pipeline footprint for the same run: the materialized trace
     // plus the DDG the streaming engine never builds.
-    let mut vm = vm_for(&module, rest)?;
+    let mut vm = Vm::new(&module);
     vm.set_capture(CaptureSpec::Program, path);
     vm.run_main()?;
     let trace = vm.take_trace().expect("capture armed");
@@ -389,7 +380,7 @@ fn cmd_profile(rest: &[String]) -> CliResult {
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
     let t0 = std::time::Instant::now();
-    let mut vm = vm_for(&module, rest)?;
+    let mut vm = Vm::new(&module);
     let decode_time = t0.elapsed();
     let t1 = std::time::Instant::now();
     vm.run_main()?;
@@ -416,7 +407,7 @@ fn cmd_profile(rest: &[String]) -> CliResult {
     if flag(rest, "--phases") {
         drop(vm);
         let t2 = std::time::Instant::now();
-        let mut cap_vm = vm_for(&module, rest)?;
+        let mut cap_vm = Vm::new(&module);
         cap_vm.set_capture(CaptureSpec::Program, path);
         cap_vm.run_main()?;
         let trace = cap_vm.take_trace().expect("capture armed");
@@ -488,7 +479,7 @@ fn cmd_trace(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("trace: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
+    let mut vm = Vm::new(&module);
     vm.set_capture(CaptureSpec::Program, path);
     vm.run_main()?;
     let trace = vm.take_trace().expect("capture armed");
@@ -582,7 +573,7 @@ fn cmd_parallelism(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("parallelism: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
+    let mut vm = Vm::new(&module);
     vm.set_capture(CaptureSpec::Program, path);
     vm.run_main()?;
     let trace = vm.take_trace().expect("capture armed");
@@ -626,7 +617,7 @@ fn cmd_ddg(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("ddg: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
+    let mut vm = Vm::new(&module);
     vm.set_capture(CaptureSpec::Program, path);
     vm.run_main()?;
     let trace = vm.take_trace().expect("capture armed");

@@ -31,10 +31,16 @@ void main() {
 }
 "#;
 
+/// The usage text is also pinned byte for byte. To regenerate it after an
+/// intentional change, run `UPDATE_GOLDEN=1 cargo test -p vectorscope-cli
+/// --test cli` and review the diff.
 #[test]
 fn no_args_prints_usage() {
-    let (_, err, ok) = vscope(&[]);
-    assert!(!ok);
+    let out = Command::new(env!("CARGO_BIN_EXE_vscope"))
+        .output()
+        .expect("vscope runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).expect("usage is UTF-8");
     assert!(err.contains("USAGE"));
     // Continuation lines keep their indentation under the command name.
     let threads = err
@@ -45,6 +51,13 @@ fn no_args_prints_usage() {
         threads.starts_with("                 [--threads N]"),
         "continuation line lost its indentation: {threads:?}"
     );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/usage.txt");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(path, &err).expect("write usage golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect("usage golden exists");
+    assert_eq!(err, want, "usage text diverged from {path}");
 }
 
 #[test]
@@ -60,6 +73,7 @@ fn unknown_flags_are_rejected_by_name() {
     let file = path.to_str().unwrap();
     for args in [
         &["analyze", file, "--thrads", "2"][..],
+        &["analyze", file, "--engine", "tree"],
         &["trace", file, "--verbose"],
         &["gap", "--all-kernel"],
         &["table", "2", "--json"],
@@ -83,6 +97,22 @@ fn unknown_flags_are_rejected_by_name() {
     // Accepted flags still work, the shared analysis ones included.
     let (_, err, ok) = vscope(&["analyze", file, "--threads", "2", "--streaming", "--json"]);
     assert!(ok, "{err}");
+}
+
+#[test]
+fn unknown_flags_suggest_the_closest_known_flag() {
+    let path = write_temp("hints.kern", SAXPY);
+    let file = path.to_str().unwrap();
+    let (_, err, ok) = vscope(&["analyze", file, "--thrads", "2"]);
+    assert!(!ok);
+    assert!(
+        err.contains("unknown flag `--thrads` (did you mean `--threads`?)"),
+        "{err}"
+    );
+    // Nothing within edit distance 2: no hint.
+    let (_, err, ok) = vscope(&["analyze", file, "--frobnicate"]);
+    assert!(!ok);
+    assert!(!err.contains("did you mean"), "{err}");
 }
 
 #[test]

@@ -149,10 +149,8 @@ pub struct AnalysisOptions {
     /// Combined with `break_reductions` the driver silently falls back to
     /// the batch engine — reduction-chain discovery needs the whole graph.
     pub streaming: bool,
-    /// Which VM execution engine runs the profiling and capture passes
-    /// (default [`Engine::Decoded`], the pre-decoded bytecode engine;
-    /// [`Engine::Tree`] is the tree-walking escape hatch). Both produce
-    /// byte-identical traces, profiles, and reports.
+    /// The VM execution engine. [`Engine`] has a single variant; the field
+    /// stays only so existing callers compile, and nothing reads it.
     pub engine: Engine,
 }
 
@@ -175,7 +173,6 @@ impl AnalysisOptions {
     fn vm_options(&self) -> VmOptions {
         VmOptions {
             fuel: self.fuel,
-            engine: self.engine,
             ..VmOptions::default()
         }
     }

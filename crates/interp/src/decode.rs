@@ -1,9 +1,9 @@
 //! One-time lowering of verified IR into a flat pre-decoded bytecode.
 //!
-//! The tree-walking interpreter re-resolves everything on every executed
-//! instruction: it indexes the block list, pattern-matches a large
-//! [`InstKind`] with heap-allocated operand vectors, maps the current block
-//! to its innermost loop, and charges the profiler through a hash map. The
+//! Interpreting structured IR directly would re-resolve everything on every
+//! executed instruction: index the block list, pattern-match a large
+//! [`InstKind`] with heap-allocated operand vectors, map the current block
+//! to its innermost loop, and charge the profiler through a hash map. The
 //! decode pass performs all of that resolution once per *static*
 //! instruction instead:
 //!
@@ -20,9 +20,10 @@
 //!
 //! Fusion collapses *dispatch*, never bookkeeping: a fused op still carries
 //! both constituent instruction ids, charges fuel and cycle costs per
-//! constituent, and emits exactly the trace events the tree engine emits,
-//! in the same order — the decoded engine's output is byte-for-byte
-//! identical to the tree engine's.
+//! constituent, and emits one trace event per constituent, in program
+//! order — exactly what executing the two instructions one by one would
+//! emit. `tests/golden/vm_trace_digests.txt` pins the resulting traces,
+//! fuel and counters for every bundled kernel.
 
 use crate::cost::CostModel;
 use crate::profiler::LoopKey;

@@ -5,9 +5,11 @@
 //! trace, and profiled with HPCToolkit to find hot loops. Here a single
 //! deterministic VM provides all three services:
 //!
-//! * **Execution** — [`Vm`] interprets a [`vectorscope_ir::Module`] against
-//!   a flat byte-addressed [`Memory`], with real IEEE arithmetic (f32
-//!   operations round to f32 per operation).
+//! * **Execution** — [`Vm`] lowers a [`vectorscope_ir::Module`] once into
+//!   flat pre-decoded bytecode with fused superinstructions, then executes
+//!   it against a flat byte-addressed [`Memory`], with real IEEE arithmetic
+//!   (f32 operations round to f32 per operation). Fuel exhaustion
+//!   ([`VmError::OutOfFuel`]) names the innermost loop that was running.
 //! * **Profiling** — every executed instruction is charged a cost from the
 //!   [`CostModel`] and attributed to the innermost enclosing natural loop;
 //!   [`Profiler::hot_loops`] reproduces the paper's hot-loop selection rule
@@ -44,4 +46,4 @@ mod vm;
 pub use cost::CostModel;
 pub use memory::Memory;
 pub use profiler::{HotLoop, LoopKey, LoopProfile, Profiler};
-pub use vm::{CaptureSpec, Engine, EventSink, RtVal, Vm, VmError, VmOptions};
+pub use vm::{CaptureSpec, Engine, EventSink, LoopSite, RtVal, Vm, VmError, VmOptions};

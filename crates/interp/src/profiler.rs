@@ -67,15 +67,9 @@ impl Profiler {
         }
     }
 
-    /// Records one entry into `loop_key` from outside the loop.
-    pub fn record_entry(&mut self, loop_key: LoopKey) {
-        *self.entries.entry(loop_key).or_insert(0) += 1;
-    }
-
-    /// Records `n` entries into `loop_key` at once. The decoded engine
+    /// Records `n` entries into `loop_key` from outside the loop. The VM
     /// accumulates entry counts in flat per-run arrays and flushes them
-    /// here, which is observably identical to `n` [`Profiler::record_entry`]
-    /// calls.
+    /// here when a run ends.
     pub fn add_entries(&mut self, loop_key: LoopKey, n: u64) {
         *self.entries.entry(loop_key).or_insert(0) += n;
     }
@@ -202,8 +196,8 @@ mod tests {
             func: FuncId(0),
             loop_id: LoopId(1),
         };
-        p.record_entry(k);
-        p.record_entry(k);
-        assert_eq!(p.entries[&k], 2);
+        p.add_entries(k, 1);
+        p.add_entries(k, 2);
+        assert_eq!(p.entries[&k], 3);
     }
 }

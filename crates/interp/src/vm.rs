@@ -3,13 +3,12 @@
 use crate::cost::CostModel;
 use crate::decode::{Action, DecodedModule, Edge, Opnd, NO_LOOP};
 use crate::memory::Memory;
-use crate::profiler::{LoopKey, Profiler};
+use crate::profiler::Profiler;
 use std::fmt;
 use std::rc::Rc;
 use vectorscope_ir::loops::{LoopForest, LoopId};
 use vectorscope_ir::{
-    BinOp, BlockId, CmpOp, FuncId, InstId, InstKind, Intrinsic, Module, RegId, ScalarTy, Span,
-    TermKind, UnOp, Value,
+    BinOp, CmpOp, FuncId, InstId, Intrinsic, Module, RegId, ScalarTy, Span, UnOp,
 };
 use vectorscope_trace::{Trace, TraceEvent};
 
@@ -73,7 +72,11 @@ pub enum VmError {
     },
     /// The configured instruction budget was exhausted (probable infinite
     /// loop).
-    OutOfFuel,
+    OutOfFuel {
+        /// The innermost loop that was executing when the budget ran out,
+        /// or `None` outside any loop.
+        in_loop: Option<LoopSite>,
+    },
     /// The stack region exceeded the memory limit.
     StackOverflow,
 }
@@ -82,7 +85,14 @@ impl fmt::Display for VmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VmError::Trap { message, span } => write!(f, "trap at {span}: {message}"),
-            VmError::OutOfFuel => write!(f, "instruction budget exhausted"),
+            VmError::OutOfFuel { in_loop: None } => write!(f, "instruction budget exhausted"),
+            VmError::OutOfFuel {
+                in_loop: Some(site),
+            } => write!(
+                f,
+                "instruction budget exhausted in the loop at line {} of `{}`",
+                site.line, site.func
+            ),
             VmError::StackOverflow => write!(f, "stack overflow"),
         }
     }
@@ -90,21 +100,26 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Which execution engine [`Vm::run`] uses.
+/// Where a loop sits in the source: its function and the first source line
+/// of its header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoopSite {
+    /// The containing function's name.
+    pub func: String,
+    /// 1-based source line of the loop header (0 when synthesized).
+    pub line: u32,
+}
+
+/// The VM execution engine.
 ///
-/// Both engines are observably identical — same results, same trace bytes,
-/// same profiles, same fuel accounting — and differ only in speed. The
-/// tree walker re-interprets structured IR per instruction; the decoded
-/// engine lowers each function once into flat bytecode (see the crate's
-/// `decode` module) and dispatches over fixed-size pre-resolved ops.
+/// There is one engine, the pre-decoded bytecode engine; this type and the
+/// `engine` option fields that carry it stay only so existing callers
+/// compile. Nothing reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Pre-decoded flat bytecode with fused superinstructions (default).
+    /// Pre-decoded flat bytecode with fused superinstructions.
     #[default]
     Decoded,
-    /// The original structured-IR tree-walking interpreter, kept as an
-    /// escape hatch and as the differential-testing reference.
-    Tree,
 }
 
 /// VM configuration.
@@ -116,7 +131,8 @@ pub struct VmOptions {
     pub mem_limit: u64,
     /// Cycle cost table for the profiler.
     pub cost: CostModel,
-    /// Which execution engine to use.
+    /// The execution engine (a single variant; kept only so existing
+    /// callers compile).
     pub engine: Engine,
 }
 
@@ -221,7 +237,6 @@ struct Frame {
     regs: Vec<RtVal>,
     frame_base: u64,
     activation: u32,
-    block: BlockId,
     ip: usize,
     ret_dst: Option<RegId>,
 }
@@ -241,12 +256,11 @@ pub struct Vm<'m> {
     next_activation: u32,
     inst_counts: Vec<u64>,
     branch_taken: Vec<u64>,
-    /// Flat bytecode, built once at construction when the decoded engine
-    /// is selected (shared so the dispatch loop can hold a reference while
-    /// the VM is borrowed mutably).
-    decoded: Option<Rc<DecodedModule>>,
-    /// Indices of currently active captures, so the decoded engine's emit
-    /// path walks only live consumers; rebuilt lazily when stale.
+    /// Flat bytecode, built once at construction (shared so the dispatch
+    /// loop can hold a reference while the VM is borrowed mutably).
+    decoded: Rc<DecodedModule>,
+    /// Indices of currently active captures, so the emit path walks only
+    /// live consumers; rebuilt lazily when stale.
     active_idx: Vec<u32>,
     active_dirty: bool,
 }
@@ -263,14 +277,7 @@ impl<'m> Vm<'m> {
         let mem = Memory::for_module(module, options.mem_limit);
         let inst_counts = vec![0; module.num_inst_ids()];
         let branch_taken = vec![0; module.num_inst_ids()];
-        let decoded = match options.engine {
-            Engine::Decoded => Some(Rc::new(DecodedModule::build(
-                module,
-                &forests,
-                &options.cost,
-            ))),
-            Engine::Tree => None,
-        };
+        let decoded = Rc::new(DecodedModule::build(module, &forests, &options.cost));
         Vm {
             module,
             forests,
@@ -430,277 +437,42 @@ impl<'m> Vm<'m> {
 
     /// Runs `func` with `args` to completion and returns its result.
     ///
-    /// Dispatches to the engine selected in [`VmOptions::engine`]; the two
-    /// engines are byte-for-byte observationally identical.
+    /// The flat profiling counters are flushed into the [`Profiler`] on
+    /// every exit path, so profiles stay complete even after an error.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] on trap, fuel exhaustion, or stack overflow.
     pub fn run(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, VmError> {
-        match self.options.engine {
-            Engine::Decoded => self.run_decoded(func, args),
-            Engine::Tree => self.run_tree(func, args),
-        }
-    }
-
-    /// The tree-walking engine: interprets structured IR directly.
-    fn run_tree(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, VmError> {
-        let mut frames: Vec<Frame> = Vec::new();
-        self.push_frame(&mut frames, func, args, None)?;
-        // The entry frame itself may be the requested function capture.
-        self.check_function_capture(&frames);
-        loop {
-            let depth = frames.len();
-            let frame = frames.last_mut().expect("at least one frame");
-            let function = self.module.function(frame.func);
-            let block = function.block(frame.block);
-
-            if frame.ip < block.insts.len() {
-                let inst = &block.insts[frame.ip];
-                self.fuel_used += 1;
-                if self.fuel_used > self.options.fuel {
-                    return Err(VmError::OutOfFuel);
-                }
-                self.inst_counts[inst.id.index()] += 1;
-                let cost = self.options.cost.inst_cost(&inst.kind);
-                let loop_key = self.forests[frame.func.index()]
-                    .innermost_of(frame.block)
-                    .map(|l| LoopKey {
-                        func: frame.func,
-                        loop_id: l,
-                    });
-                self.profiler.charge(loop_key, cost);
-
-                // Calls need frame manipulation; handle them out of line.
-                if let InstKind::Call { dst, callee, args } = &inst.kind {
-                    let argv: Vec<RtVal> = args.iter().map(|a| Self::value_in(frame, *a)).collect();
-                    let inst_id = inst.id;
-                    let dst = *dst;
-                    let callee = *callee;
-                    frame.ip += 1;
-                    let caller_activation = frame.activation;
-                    let callee_activation = self.next_activation;
-                    self.emit(TraceEvent::call(
-                        inst_id,
-                        caller_activation,
-                        callee_activation,
-                    ));
-                    self.push_frame(&mut frames, callee, &argv, dst)?;
-                    // Function-capture activation check.
-                    self.check_function_capture(&frames);
-                    continue;
-                }
-
-                let trap = |message: String| VmError::Trap {
-                    message,
-                    span: inst.span,
-                };
-                let mut mem_addr: Option<u64> = None;
-                match &inst.kind {
-                    InstKind::Bin {
-                        op,
-                        ty,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => {
-                        let a = Self::value_in(frame, *lhs);
-                        let b = Self::value_in(frame, *rhs);
-                        let r = Self::eval_bin(*op, *ty, a, b).map_err(trap)?;
-                        frame.regs[dst.index()] = r;
-                    }
-                    InstKind::Un { op, ty, dst, src } => {
-                        let v = Self::value_in(frame, *src);
-                        frame.regs[dst.index()] = match op {
-                            UnOp::INeg => RtVal::Int(v.as_int().wrapping_neg()),
-                            UnOp::FNeg => {
-                                let x = -v.as_float();
-                                RtVal::Float(if *ty == ScalarTy::F32 {
-                                    (x as f32) as f64
-                                } else {
-                                    x
-                                })
-                            }
-                        };
-                    }
-                    InstKind::Cmp {
-                        op,
-                        ty,
-                        dst,
-                        lhs,
-                        rhs,
-                    } => {
-                        let a = Self::value_in(frame, *lhs);
-                        let b = Self::value_in(frame, *rhs);
-                        let r = Self::eval_cmp(*op, *ty, a, b);
-                        frame.regs[dst.index()] = RtVal::Int(r as i64);
-                    }
-                    InstKind::Cast { dst, to, from, src } => {
-                        let v = Self::value_in(frame, *src);
-                        frame.regs[dst.index()] = Self::eval_cast(*from, *to, v);
-                    }
-                    InstKind::Load { dst, ty, addr } => {
-                        let a = Self::value_in(frame, *addr).as_int() as u64;
-                        if !self.mem.check(a, ty.size()) {
-                            return Err(trap(format!(
-                                "load of {} bytes at {a:#x} out of bounds",
-                                ty.size()
-                            )));
-                        }
-                        mem_addr = Some(a);
-                        frame.regs[dst.index()] = match ty {
-                            ScalarTy::I64 | ScalarTy::Ptr => RtVal::Int(self.mem.read_int(a)),
-                            _ => RtVal::Float(self.mem.read_scalar(a, *ty)),
-                        };
-                    }
-                    InstKind::Store { ty, addr, value } => {
-                        let a = Self::value_in(frame, *addr).as_int() as u64;
-                        if !self.mem.check(a, ty.size()) {
-                            return Err(trap(format!(
-                                "store of {} bytes at {a:#x} out of bounds",
-                                ty.size()
-                            )));
-                        }
-                        mem_addr = Some(a);
-                        let v = Self::value_in(frame, *value);
-                        match ty {
-                            ScalarTy::I64 | ScalarTy::Ptr => self.mem.write_int(a, v.as_int()),
-                            _ => self.mem.write_scalar(a, v.as_float(), *ty),
-                        }
-                    }
-                    InstKind::Gep {
-                        dst,
-                        base,
-                        indices,
-                        offset,
-                    } => {
-                        let mut addr = Self::value_in(frame, *base).as_int();
-                        for (idx, scale) in indices {
-                            let i = Self::value_in(frame, *idx).as_int();
-                            addr = addr.wrapping_add(i.wrapping_mul(*scale));
-                        }
-                        addr = addr.wrapping_add(*offset);
-                        frame.regs[dst.index()] = RtVal::Int(addr);
-                    }
-                    InstKind::Intrin {
-                        dst,
-                        which,
-                        ty,
-                        args,
-                    } => {
-                        let xs: Vec<f64> = args
-                            .iter()
-                            .map(|a| Self::value_in(frame, *a).as_float())
-                            .collect();
-                        let r = Self::eval_intrinsic(*which, &xs);
-                        frame.regs[dst.index()] = RtVal::Float(if *ty == ScalarTy::F32 {
-                            (r as f32) as f64
-                        } else {
-                            r
-                        });
-                    }
-                    InstKind::FrameAddr { dst, offset } => {
-                        frame.regs[dst.index()] = RtVal::Int((frame.frame_base + offset) as i64);
-                    }
-                    InstKind::GlobalAddr { dst, global } => {
-                        frame.regs[dst.index()] = RtVal::Int(self.mem.global_base(*global) as i64);
-                    }
-                    InstKind::Call { .. } => unreachable!("handled above"),
-                }
-                let ev = TraceEvent::plain(inst.id, frame.activation, mem_addr);
-                frame.ip += 1;
-                self.emit(ev);
-                continue;
-            }
-
-            // Terminator. Fuel is checked *before* the execution count is
-            // bumped, in the same order as the non-terminator path above
-            // (and as the decoded engine), so `OutOfFuel` fires at the same
-            // instruction boundary with the same counters in both engines.
-            let term = block.terminator().clone();
-            self.fuel_used += 1;
-            if self.fuel_used > self.options.fuel {
-                return Err(VmError::OutOfFuel);
-            }
-            self.inst_counts[term.id.index()] += 1;
-            let loop_key = self.forests[frame.func.index()]
-                .innermost_of(frame.block)
-                .map(|l| LoopKey {
-                    func: frame.func,
-                    loop_id: l,
-                });
-            self.profiler
-                .charge(loop_key, self.options.cost.term_cost(&term.kind));
-
-            match term.kind {
-                TermKind::Br(target) => {
-                    let prev = frame.block;
-                    frame.block = target;
-                    frame.ip = 0;
-                    let (func, act) = (frame.func, frame.activation);
-                    let _ = act;
-                    self.note_transition(func, prev, target, depth);
-                }
-                TermKind::CondBr {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    let c = Self::value_in(frame, cond).as_int();
-                    if c != 0 {
-                        self.branch_taken[term.id.index()] += 1;
-                    }
-                    let target = if c != 0 { then_bb } else { else_bb };
-                    let prev = frame.block;
-                    frame.block = target;
-                    frame.ip = 0;
-                    let func = frame.func;
-                    self.note_transition(func, prev, target, depth);
-                }
-                TermKind::Ret(value) => {
-                    let v = value.map(|v| Self::value_in(frame, v));
-                    let activation = frame.activation;
-                    let frame_base = frame.frame_base;
-                    let ret_dst = frame.ret_dst;
-                    // Loop capture ends if the starting frame returns.
-                    for c in &mut self.captures {
-                        if c.active
-                            && depth == c.start_depth
-                            && !matches!(c.spec, CaptureSpec::Program)
-                        {
-                            c.active = false;
-                            c.done = true;
-                        }
-                    }
-                    self.emit(TraceEvent::ret(term.id, activation));
-                    self.mem.pop_frame(frame_base);
-                    frames.pop();
-                    match frames.last_mut() {
-                        None => return Ok(v),
-                        Some(caller) => {
-                            if let (Some(dst), Some(v)) = (ret_dst, v) {
-                                caller.regs[dst.index()] = v;
-                            }
-                            // Function capture: deactivate when leaving the
-                            // captured activation's depth.
-                            for c in &mut self.captures {
-                                if c.active
-                                    && matches!(c.spec, CaptureSpec::Function { .. })
-                                    && frames.len() < c.start_depth
-                                {
-                                    c.active = false;
-                                    c.done = true;
-                                }
-                            }
-                        }
-                    }
-                }
+        let dm = Rc::clone(&self.decoded);
+        let mut prof = FlatProfile {
+            loop_cycles: vec![0; dm.loop_keys.len()],
+            loop_entries: vec![0; dm.loop_keys.len()],
+            total: 0,
+        };
+        let result = self.run_inner(&dm, func, args, &mut prof);
+        let mut in_loops = 0u64;
+        for (i, &c) in prof.loop_cycles.iter().enumerate() {
+            if c > 0 {
+                self.profiler.charge(Some(dm.loop_keys[i]), c);
+                in_loops += c;
             }
         }
+        if prof.total > in_loops {
+            self.profiler.charge(None, prof.total - in_loops);
+        }
+        for (i, &n) in prof.loop_entries.iter().enumerate() {
+            if n > 0 {
+                self.profiler.add_entries(dm.loop_keys[i], n);
+            }
+        }
+        result
     }
 
+    /// Pushes an activation of `func` positioned at its entry block.
     fn push_frame(
         &mut self,
+        dm: &DecodedModule,
         frames: &mut Vec<Frame>,
         func: FuncId,
         args: &[RtVal],
@@ -731,54 +503,13 @@ impl<'m> Vm<'m> {
             regs,
             frame_base,
             activation,
-            block: function.entry(),
-            ip: 0,
+            ip: dm.funcs[func.index()].block_pc[function.entry().index()] as usize,
             ret_dst,
         });
         Ok(())
     }
 
-    /// The pre-decoded bytecode engine: flushes its flat profiling
-    /// counters into the [`Profiler`] on every exit path so profiles match
-    /// the tree engine's incremental charging even after an error.
-    fn run_decoded(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, VmError> {
-        let dm = match &self.decoded {
-            Some(d) => Rc::clone(d),
-            None => {
-                let d = Rc::new(DecodedModule::build(
-                    self.module,
-                    &self.forests,
-                    &self.options.cost,
-                ));
-                self.decoded = Some(Rc::clone(&d));
-                d
-            }
-        };
-        let mut prof = FlatProfile {
-            loop_cycles: vec![0; dm.loop_keys.len()],
-            loop_entries: vec![0; dm.loop_keys.len()],
-            total: 0,
-        };
-        let result = self.run_decoded_inner(&dm, func, args, &mut prof);
-        let mut in_loops = 0u64;
-        for (i, &c) in prof.loop_cycles.iter().enumerate() {
-            if c > 0 {
-                self.profiler.charge(Some(dm.loop_keys[i]), c);
-                in_loops += c;
-            }
-        }
-        if prof.total > in_loops {
-            self.profiler.charge(None, prof.total - in_loops);
-        }
-        for (i, &n) in prof.loop_entries.iter().enumerate() {
-            if n > 0 {
-                self.profiler.add_entries(dm.loop_keys[i], n);
-            }
-        }
-        result
-    }
-
-    fn run_decoded_inner(
+    fn run_inner(
         &mut self,
         dm: &DecodedModule,
         func: FuncId,
@@ -786,11 +517,7 @@ impl<'m> Vm<'m> {
         prof: &mut FlatProfile,
     ) -> Result<Option<RtVal>, VmError> {
         let mut frames: Vec<Frame> = Vec::new();
-        self.push_frame(&mut frames, func, args, None)?;
-        {
-            let top = frames.last_mut().expect("just pushed");
-            top.ip = dm.funcs[top.func.index()].block_pc[top.block.index()] as usize;
-        }
+        self.push_frame(dm, &mut frames, func, args, None)?;
         // The entry frame itself may be the requested function capture.
         self.check_function_capture(&frames);
         loop {
@@ -800,7 +527,7 @@ impl<'m> Vm<'m> {
 
             self.fuel_used += 1;
             if self.fuel_used > self.options.fuel {
-                return Err(VmError::OutOfFuel);
+                return Err(self.out_of_fuel(dm, dop.loop_idx));
             }
             self.inst_counts[dop.inst.index()] += 1;
             prof.total += dop.cost as u64;
@@ -942,9 +669,7 @@ impl<'m> Vm<'m> {
                         caller_activation,
                         callee_activation,
                     ));
-                    self.push_frame(&mut frames, callee, &argv, dst)?;
-                    let top = frames.last_mut().expect("just pushed");
-                    top.ip = dm.funcs[top.func.index()].block_pc[top.block.index()] as usize;
+                    self.push_frame(dm, &mut frames, callee, &argv, dst)?;
                     self.check_function_capture(&frames);
                 }
                 Action::Intrin {
@@ -1012,7 +737,7 @@ impl<'m> Vm<'m> {
                     // count, and cycle charges, exactly as if unfused.
                     self.fuel_used += 1;
                     if self.fuel_used > self.options.fuel {
-                        return Err(VmError::OutOfFuel);
+                        return Err(self.out_of_fuel(dm, dop.loop_idx));
                     }
                     self.inst_counts[bin_inst.index()] += 1;
                     prof.total += *bin_cost as u64;
@@ -1048,7 +773,7 @@ impl<'m> Vm<'m> {
                     // Second constituent (the branch).
                     self.fuel_used += 1;
                     if self.fuel_used > self.options.fuel {
-                        return Err(VmError::OutOfFuel);
+                        return Err(self.out_of_fuel(dm, dop.loop_idx));
                     }
                     self.inst_counts[br_inst.index()] += 1;
                     prof.total += *br_cost as u64;
@@ -1060,14 +785,12 @@ impl<'m> Vm<'m> {
                     }
                     let edge = if taken { *then_edge } else { *else_edge };
                     let func = frame.func;
-                    frame.block = edge.block;
                     frame.ip = edge.pc as usize;
                     self.take_edge(dm, func, edge, depth, prof);
                 }
                 Action::Br { edge } => {
                     let edge = *edge;
                     let func = frame.func;
-                    frame.block = edge.block;
                     frame.ip = edge.pc as usize;
                     self.take_edge(dm, func, edge, depth, prof);
                 }
@@ -1082,7 +805,6 @@ impl<'m> Vm<'m> {
                     }
                     let edge = if c != 0 { *then_edge } else { *else_edge };
                     let func = frame.func;
-                    frame.block = edge.block;
                     frame.ip = edge.pc as usize;
                     self.take_edge(dm, func, edge, depth, prof);
                 }
@@ -1138,10 +860,9 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Decoded-engine bookkeeping for a taken control-flow edge: flat
-    /// loop-entry counts plus loop-capture activation/stop (the decoded
-    /// counterpart of [`Vm::note_transition`], with the loop-forest
-    /// ancestor walk replaced by the edge's pre-computed entered list).
+    /// Bookkeeping for a taken control-flow edge: flat loop-entry counts
+    /// plus loop-capture activation/stop, driven by the edge's pre-computed
+    /// list of entered loops.
     fn take_edge(
         &mut self,
         dm: &DecodedModule,
@@ -1226,6 +947,24 @@ impl<'m> Vm<'m> {
         self.active_dirty = false;
     }
 
+    /// A [`VmError::OutOfFuel`] naming the loop with dense index
+    /// `loop_idx` (cold path: the name and line lookups only happen when
+    /// the budget actually runs out).
+    #[cold]
+    fn out_of_fuel(&self, dm: &DecodedModule, loop_idx: u32) -> VmError {
+        let in_loop = (loop_idx != NO_LOOP).then(|| {
+            let key = dm.loop_keys[loop_idx as usize];
+            let function = self.module.function(key.func);
+            LoopSite {
+                func: function.name().to_string(),
+                line: self.forests[key.func.index()]
+                    .span_of(function, key.loop_id)
+                    .line,
+            }
+        });
+        VmError::OutOfFuel { in_loop }
+    }
+
     /// A [`VmError::Trap`] at instruction `id` (cold path: the span lookup
     /// only happens when a trap actually fires).
     #[cold]
@@ -1233,43 +972,6 @@ impl<'m> Vm<'m> {
         VmError::Trap {
             message,
             span: self.module.span_of(id),
-        }
-    }
-
-    /// Handles loop-entry bookkeeping for a block transition inside one
-    /// frame: profiler entry counts and loop-capture activation/stop.
-    fn note_transition(&mut self, func: FuncId, prev: BlockId, cur: BlockId, depth: usize) {
-        let forest = &self.forests[func.index()];
-        let entered: Vec<LoopId> = forest.entered_on_edge(prev, cur);
-        for &id in &entered {
-            self.profiler.record_entry(LoopKey { func, loop_id: id });
-        }
-
-        for c in &mut self.captures {
-            if c.done {
-                continue;
-            }
-            if let CaptureSpec::Loop {
-                func: cf,
-                loop_id,
-                instance,
-            } = c.spec
-            {
-                if c.active {
-                    // Exit: back in the start frame, moving to a block
-                    // outside the loop.
-                    if depth == c.start_depth && cf == func && !forest.get(loop_id).contains(cur) {
-                        c.active = false;
-                        c.done = true;
-                    }
-                } else if cf == func && entered.contains(&loop_id) {
-                    if c.seen == instance {
-                        c.active = true;
-                        c.start_depth = depth;
-                    }
-                    c.seen += 1;
-                }
-            }
         }
     }
 
@@ -1293,25 +995,6 @@ impl<'m> Vm<'m> {
         }
         if changed {
             self.active_dirty = true;
-        }
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        for c in &mut self.captures {
-            if c.active {
-                match &mut c.body {
-                    CaptureBody::Trace(t) => t.push(event),
-                    CaptureBody::Sink(sink) => sink(&event),
-                }
-            }
-        }
-    }
-
-    fn value_in(frame: &Frame, v: Value) -> RtVal {
-        match v {
-            Value::Reg(r) => frame.regs[r.index()],
-            Value::ImmInt(i) => RtVal::Int(i),
-            Value::ImmFloat(f) => RtVal::Float(f),
         }
     }
 
@@ -1419,9 +1102,9 @@ impl<'m> Vm<'m> {
     }
 }
 
-/// Flat per-run profiling accumulators for the decoded engine, indexed by
-/// the dense loop table of the [`DecodedModule`]; flushed into the
-/// [`Profiler`] when the run ends (including error exits).
+/// Flat per-run profiling accumulators, indexed by the dense loop table of
+/// the [`DecodedModule`]; flushed into the [`Profiler`] when the run ends
+/// (including error exits).
 struct FlatProfile {
     loop_cycles: Vec<u64>,
     loop_entries: Vec<u64>,

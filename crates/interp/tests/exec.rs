@@ -2,7 +2,7 @@
 //! against native Rust computations.
 
 use vectorscope_frontend::compile;
-use vectorscope_interp::{CaptureSpec, Vm, VmError, VmOptions};
+use vectorscope_interp::{CaptureSpec, LoopSite, Vm, VmError, VmOptions};
 
 /// Compiles and runs `main`, returning the VM for inspection.
 macro_rules! run {
@@ -316,7 +316,8 @@ fn out_of_bounds_traps() {
 
 #[test]
 fn infinite_loop_runs_out_of_fuel() {
-    let src = "void main() { while (true) { } }";
+    let src =
+        "double x = 0.0;\nvoid main() {\n    x = 1.0;\n    while (true) { x = x * 0.5; }\n}\n";
     let module = compile("t.kern", src).unwrap();
     let mut vm = Vm::with_options(
         &module,
@@ -325,7 +326,74 @@ fn infinite_loop_runs_out_of_fuel() {
             ..VmOptions::default()
         },
     );
-    assert_eq!(vm.run_main(), Err(VmError::OutOfFuel));
+    let err = vm.run_main().unwrap_err();
+    assert_eq!(
+        err,
+        VmError::OutOfFuel {
+            in_loop: Some(LoopSite {
+                func: "main".into(),
+                line: 4,
+            })
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "instruction budget exhausted in the loop at line 4 of `main`"
+    );
+}
+
+/// Fuel runs out at an exact instruction boundary: at the exact budget the
+/// run completes, and below it the instruction that would exceed the budget
+/// is charged fuel but never counted or executed. Pins the
+/// check-before-count order, including inside fused compare+branch and
+/// load+binop superinstructions.
+#[test]
+fn fuel_boundary_stops_before_the_first_unpaid_instruction() {
+    // Loops, a call, memory traffic, and fused compare+branch /
+    // load+binop sequences near the end.
+    let src = r#"
+        const int N = 24;
+        double a[N]; double b[N];
+        double dot(double x, double y) { return x * y; }
+        void main() {
+            for (int i = 0; i < N; i++) { b[i] = (double)i * 0.5; }
+            for (int i = 0; i < N; i++) { a[i] = dot(b[i], 2.0) + b[i]; }
+        }
+    "#;
+    let module = compile("fuel.kern", src).expect("compiles");
+    let run = |fuel: u64| {
+        let mut vm = Vm::with_options(
+            &module,
+            VmOptions {
+                fuel,
+                ..VmOptions::default()
+            },
+        );
+        let result = vm.run_main();
+        let counted: u64 = vm.inst_counts().iter().sum();
+        (result, vm.fuel_used(), counted)
+    };
+
+    let (ok, exact, counted) = run(u64::MAX);
+    assert!(ok.is_ok(), "unbounded run fails: {ok:?}");
+    assert!(exact > 40, "program too short to probe: {exact}");
+    assert_eq!(counted, exact, "inst_counts must sum to fuel_used");
+
+    let (at_exact, used, counted) = run(exact);
+    assert!(at_exact.is_ok(), "exact budget fails: {at_exact:?}");
+    assert_eq!((used, counted), (exact, exact));
+
+    for fuel in (exact - 40..exact).chain([exact / 2, 1]) {
+        let (result, used, counted) = run(fuel);
+        assert!(
+            matches!(result, Err(VmError::OutOfFuel { .. })),
+            "fuel={fuel}: {result:?}"
+        );
+        assert_eq!(used, fuel + 1, "fuel_used at fuel={fuel}");
+        assert_eq!(counted, fuel, "inst_counts sum at fuel={fuel}");
+    }
+    // The first instruction of `main` sits outside any loop.
+    assert_eq!(run(0).0, Err(VmError::OutOfFuel { in_loop: None }));
 }
 
 #[test]

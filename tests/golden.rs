@@ -117,7 +117,8 @@ fn paper_and_study_kernels_match_their_golden_gap_reports() {
 #[test]
 fn golden_directory_has_no_stale_files() {
     // A renamed kernel must not leave its old snapshot behind silently.
-    let expected: Vec<String> = golden_kernels()
+    // `vm_trace_digests.txt` is the VM-level golden of tests/trace_digest.rs.
+    let mut expected: Vec<String> = golden_kernels()
         .iter()
         .flat_map(|k| {
             [
@@ -126,6 +127,7 @@ fn golden_directory_has_no_stale_files() {
             ]
         })
         .collect();
+    expected.push("vm_trace_digests.txt".into());
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden exists") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy().to_string();

@@ -72,7 +72,7 @@ fn unbounded_recursion_overflows_cleanly() {
         matches!(
             r,
             Err(vectorscope_interp::VmError::StackOverflow)
-                | Err(vectorscope_interp::VmError::OutOfFuel)
+                | Err(vectorscope_interp::VmError::OutOfFuel { .. })
         ),
         "got {r:?}"
     );
@@ -91,7 +91,7 @@ fn fuel_limits_are_enforced_per_options() {
     );
     assert!(matches!(
         r,
-        Err(Error::Vm(vectorscope_interp::VmError::OutOfFuel))
+        Err(Error::Vm(vectorscope_interp::VmError::OutOfFuel { .. }))
     ));
 }
 
