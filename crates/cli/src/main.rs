@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vscope analyze <file.kern> [--threshold PCT] [--break-reductions]
-//!                            [--integer-ops] [--streaming] [--verbose] [--json]
+//!                            [--integer-ops] [--verbose] [--json]
 //! vscope stats <file.kern> [--integer-ops] [--json]
 //! vscope profile <file.kern>
 //! vscope vectorize <file.kern>
@@ -33,10 +33,6 @@ USAGE:
                  [--threads N]       analysis worker threads (0 = auto;
                                      also via VSCOPE_THREADS; results are
                                      identical at every thread count)
-                 [--streaming]       bounded-memory engine: analyze trace
-                                     events as they are emitted (reports
-                                     are byte-identical to the default
-                                     batch engine)
   vscope stats <file.kern> [--json]    stream a whole run and report the
                                        engine's observability counters and
                                        peak memory vs. the batch pipeline
@@ -87,7 +83,7 @@ const fn flags(
     }
 }
 
-const ANALYSIS_SWITCHES: &[&str] = &["--break-reductions", "--integer-ops", "--streaming"];
+const ANALYSIS_SWITCHES: &[&str] = &["--break-reductions", "--integer-ops"];
 const ANALYSIS_OPTIONS: &[&str] = &["--threshold", "--threads"];
 
 /// Every subcommand and the flags it accepts.
@@ -243,7 +239,6 @@ fn analysis_options(rest: &[String]) -> Result<AnalysisOptions, Box<dyn std::err
     let mut options = AnalysisOptions {
         break_reductions: flag(rest, "--break-reductions"),
         include_integer_ops: flag(rest, "--integer-ops"),
-        streaming: flag(rest, "--streaming"),
         ..AnalysisOptions::default()
     };
     if let Some(t) = opt_value(rest, "--threshold") {

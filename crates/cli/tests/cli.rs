@@ -74,6 +74,7 @@ fn unknown_flags_are_rejected_by_name() {
     for args in [
         &["analyze", file, "--thrads", "2"][..],
         &["analyze", file, "--engine", "tree"],
+        &["analyze", file, "--streaming"],
         &["trace", file, "--verbose"],
         &["gap", "--all-kernel"],
         &["table", "2", "--json"],
@@ -95,7 +96,7 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(!ok);
     assert!(err.contains("`--threads` needs a value"), "{err}");
     // Accepted flags still work, the shared analysis ones included.
-    let (_, err, ok) = vscope(&["analyze", file, "--threads", "2", "--streaming", "--json"]);
+    let (_, err, ok) = vscope(&["analyze", file, "--threads", "2", "--json"]);
     assert!(ok, "{err}");
 }
 

@@ -1,15 +1,16 @@
 //! End-to-end driver: source → hot loops → sub-traces → reports.
 
-use crate::metrics::{analyze_ddg, MetricOptions};
+use crate::metrics::{analyze_ddg, InstMetrics, LoopMetrics, MetricOptions};
 use crate::report::LoopReport;
 use crate::stream::{StreamOutcome, StreamingAnalyzer};
 use std::cell::RefCell;
 use std::rc::Rc;
 use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg, DdgBuilder};
 use vectorscope_frontend::CompileError;
-use vectorscope_interp::{CaptureSpec, Engine, Vm, VmError, VmOptions};
+use vectorscope_interp::{CaptureSpec, Engine, LoopKey, LoopProfile, Vm, VmError, VmOptions};
 use vectorscope_ir::loops::LoopId;
 use vectorscope_ir::{FuncId, InstId, Module};
+use vectorscope_trace::Trace;
 
 /// Any failure of the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +35,9 @@ pub enum Error {
         what: String,
     },
     /// The captured region held more dynamic instances than `u32` node ids
-    /// can express (see [`vectorscope_ddg::BuildError`]); both engines
-    /// surface this instead of silently corrupting dependences.
+    /// can express (see [`vectorscope_ddg::BuildError`]); the DDG builder
+    /// and the streaming engine surface this instead of silently
+    /// corrupting dependences.
     TraceTooLarge {
         /// How many nodes the region tried to create.
         nodes: usize,
@@ -142,13 +144,6 @@ pub struct AnalysisOptions {
     /// else the machine's available parallelism, clamped to ≥ 1. Reports
     /// are bit-identical at every thread count.
     pub threads: usize,
-    /// Use the streaming bounded-memory engine ([`crate::stream`]) instead
-    /// of materializing traces and DDGs (default off). Reports are
-    /// byte-identical to the batch engine's; peak analysis memory scales
-    /// with live state + candidate instances instead of trace length.
-    /// Combined with `break_reductions` the driver silently falls back to
-    /// the batch engine — reduction-chain discovery needs the whole graph.
-    pub streaming: bool,
     /// The VM execution engine. [`Engine`] has a single variant; the field
     /// stays only so existing callers compile, and nothing reads it.
     pub engine: Engine,
@@ -163,7 +158,6 @@ impl Default for AnalysisOptions {
             include_integer_ops: false,
             fuel: 2_000_000_000,
             threads: 0,
-            streaming: false,
             engine: Engine::default(),
         }
     }
@@ -227,9 +221,9 @@ pub struct LoopAnalysis {
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
     /// Aggregated table metrics over the whole run.
-    pub metrics: crate::metrics::LoopMetrics,
+    pub metrics: LoopMetrics,
     /// Per-instruction breakdown.
-    pub per_inst: Vec<crate::metrics::InstMetrics>,
+    pub per_inst: Vec<InstMetrics>,
     /// The whole-run DDG.
     pub ddg: Ddg,
 }
@@ -283,13 +277,15 @@ fn run_sink<'m, S: 'm>(
 }
 
 /// Streams the entire execution of `main` through the bounded-memory
-/// engine: the analytical twin of [`analyze_program`] that never
-/// materializes a trace or DDG, returning byte-identical metrics plus the
-/// engine's observability counters ([`crate::StreamStats`]).
+/// engine ([`crate::stream`]): the whole-program twin of
+/// [`analyze_program`] that never materializes a trace or DDG, returning
+/// byte-identical metrics plus the engine's observability counters
+/// ([`crate::StreamStats`]). This is what `vscope stats` runs; hot-loop
+/// analysis ([`analyze_source`]) always builds each sub-trace's DDG.
 ///
-/// `break_reductions` is not supported by the streaming engine and is
-/// ignored here; callers wanting the reduction extension should use
-/// [`analyze_program`].
+/// `break_reductions` is ignored: reduction chains are found on the whole
+/// graph before timestamping, which a one-pass engine does not have. Use
+/// [`analyze_program`] for the reduction extension.
 ///
 /// # Errors
 ///
@@ -322,177 +318,7 @@ pub fn analyze_source(
     options: &AnalysisOptions,
 ) -> Result<SuiteReport, Error> {
     let module = vectorscope_frontend::compile(name, source)?;
-
-    // Profiling run.
-    let mut vm = Vm::with_options(&module, options.vm_options());
-    vm.run_main()?;
-    let hot = vm
-        .profiler()
-        .hot_loops(&module, vm.forests(), options.hot_threshold_pct);
-    let inst_counts = vm.inst_counts().to_vec();
-    let branch_taken = vm.branch_taken().to_vec();
-
-    // Plan every (loop, instance) capture, then run once.
-    struct Plan {
-        func: FuncId,
-        loop_id: LoopId,
-        line: u32,
-        percent: f64,
-        n_traces: usize,
-    }
-    // With `break_reductions` the analysis needs the whole dependence
-    // graph, so the streaming engine silently defers to the batch one.
-    let use_streaming = options.streaming && !options.break_reductions;
-    let mut cap_vm = Vm::with_options(&module, options.vm_options());
-    let mut plans: Vec<Plan> = Vec::new();
-    let mut cells: Vec<Rc<RefCell<StreamingAnalyzer<'_>>>> = Vec::new();
-    for h in &hot {
-        let func = h.profile.key.func;
-        let loop_id = h.profile.key.loop_id;
-        let function = module.function(func);
-        let line = vm.forests()[func.index()].span_of(function, loop_id).line;
-        if h.profile.entries == 0 {
-            return Err(Error::EmptyTrace {
-                func: function.name().to_string(),
-                line,
-            });
-        }
-        let label = format!("{}:{}", function.name(), line);
-        let instances = sampled_instances(options.loop_instance, h.profile.entries);
-        for &instance in &instances {
-            let spec = CaptureSpec::Loop {
-                func,
-                loop_id,
-                instance,
-            };
-            if use_streaming {
-                let cell = Rc::new(RefCell::new(StreamingAnalyzer::new(
-                    &module,
-                    options.candidate_policy(),
-                )));
-                let sink_cell = Rc::clone(&cell);
-                cap_vm.add_sink(spec, Box::new(move |e| sink_cell.borrow_mut().consume(e)));
-                cells.push(cell);
-            } else {
-                cap_vm.add_capture(spec, &label);
-            }
-        }
-        plans.push(Plan {
-            func,
-            loop_id,
-            line,
-            percent: h.profile.percent,
-            n_traces: instances.len(),
-        });
-    }
-    // Both VMs hold boxed capture state borrowing `module`; drop them
-    // before `module` moves into the returned report. The profiling VM's
-    // last use was `forests()` in the plan loop above.
-    drop(vm);
-    if !plans.is_empty() {
-        cap_vm.run_main()?;
-    }
-
-    if use_streaming {
-        drop(cap_vm); // releases the sink closures' Rc clones
-        let mut analyzers = cells.into_iter().map(|c| {
-            Rc::try_unwrap(c)
-                .ok()
-                .expect("sink closures dropped with the VM")
-                .into_inner()
-        });
-        let mut loops = Vec::with_capacity(plans.len());
-        for p in plans {
-            let plan_analyzers: Vec<_> = analyzers.by_ref().take(p.n_traces).collect();
-            let Some(outcome) = best_of_streams(plan_analyzers, &options.metric_options())? else {
-                return Err(Error::EmptyTrace {
-                    func: module.function(p.func).name().to_string(),
-                    line: p.line,
-                });
-            };
-            let mut report = make_report(
-                &module,
-                p.func,
-                p.loop_id,
-                p.line,
-                p.percent,
-                outcome.metrics,
-                outcome.per_inst,
-                outcome.nodes,
-            );
-            report.control_irregularity = crate::control::loop_irregularity(
-                &module,
-                p.func,
-                p.loop_id,
-                &inst_counts,
-                &branch_taken,
-            );
-            loops.push(report);
-        }
-        drop(analyzers); // analyzers borrow `module`, which moves below
-        loops.sort_by(|a, b| {
-            b.percent_cycles
-                .partial_cmp(&a.percent_cycles)
-                .expect("percentages are finite")
-        });
-        return Ok(SuiteReport { module, loops });
-    }
-
-    // Hand each plan its slice of the captured traces and fan the
-    // per-(loop, instance) sub-trace analyses — DDG construction,
-    // Algorithm 1, and the stride stage — across the work pool. Workers
-    // return into pre-indexed slots (plan order), and a worker's failure
-    // surfaces as the lowest-indexed error, so the result is identical to
-    // the sequential engine's at every thread count. The stride stage
-    // inside each worker stays single-threaded ([`AnalysisOptions::
-    // worker_metric_options`]) unless there is only one plan to analyze.
-    let mut traces = cap_vm.take_traces().into_iter();
-    drop(cap_vm);
-    let work: Vec<(Plan, Vec<vectorscope_trace::Trace>)> = plans
-        .into_iter()
-        .map(|p| {
-            let loop_traces: Vec<_> = traces.by_ref().take(p.n_traces).collect();
-            (p, loop_traces)
-        })
-        .collect();
-    let metric_options = if work.len() > 1 {
-        options.worker_metric_options()
-    } else {
-        options.metric_options()
-    };
-    let mut loops = rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
-        let Some((ddg, metrics, per_inst)) =
-            best_of_traces(&module, options, &metric_options, loop_traces)?
-        else {
-            return Err(Error::EmptyTrace {
-                func: module.function(p.func).name().to_string(),
-                line: p.line,
-            });
-        };
-        let mut report = make_report(
-            &module,
-            p.func,
-            p.loop_id,
-            p.line,
-            p.percent,
-            metrics,
-            per_inst,
-            ddg.len(),
-        );
-        report.control_irregularity = crate::control::loop_irregularity(
-            &module,
-            p.func,
-            p.loop_id,
-            &inst_counts,
-            &branch_taken,
-        );
-        Ok(report)
-    })?;
-    loops.sort_by(|a, b| {
-        b.percent_cycles
-            .partial_cmp(&a.percent_cycles)
-            .expect("percentages are finite")
-    });
+    let loops = analyze_hot_loops(&module, options, |report, _| Ok(report))?;
     Ok(SuiteReport { module, loops })
 }
 
@@ -510,6 +336,17 @@ pub fn analyze_sources(
     programs: &[(String, String)],
     options: &AnalysisOptions,
 ) -> Vec<Result<SuiteReport, Error>> {
+    per_program(programs, options, analyze_source)
+}
+
+/// Runs `analyze` over every `(name, source)` program on the work pool, in
+/// input order (the fan-out of [`analyze_sources`] and
+/// [`crate::gap::analyze_gap_sources`]).
+pub(crate) fn per_program<T: Send>(
+    programs: &[(String, String)],
+    options: &AnalysisOptions,
+    analyze: fn(&str, &str, &AnalysisOptions) -> Result<T, Error>,
+) -> Vec<Result<T, Error>> {
     // Inside a worker, run the whole per-program pipeline on one thread;
     // with a single program there is no outer fan-out, so let the inner
     // stages use the full budget instead.
@@ -522,7 +359,7 @@ pub fn analyze_sources(
         options.clone()
     };
     rayon_lite::par_map(options.threads, programs, |_, (name, source)| {
-        analyze_source(name, source, &per_program)
+        analyze(name, source, &per_program)
     })
 }
 
@@ -535,29 +372,145 @@ pub fn analyze_sources(
 ///
 /// Returns [`Error::Vm`] if execution fails and [`Error::EmptyTrace`] if
 /// the loop is never entered.
+///
+/// # Panics
+///
+/// Panics if `loop_id` is not a loop of `func`.
 pub fn analyze_loop(
     module: &Module,
     func: FuncId,
     loop_id: LoopId,
     options: &AnalysisOptions,
 ) -> Result<LoopAnalysis, Error> {
+    let key = LoopKey { func, loop_id };
+    let select = |vm: &Vm<'_>| {
+        let profiles = vm.profiler().profiles(module, vm.forests());
+        profiles.into_iter().filter(|p| p.key == key).collect()
+    };
+    let mut analyses = analyze_loops(module, options, select, |report, ddg| {
+        Ok(LoopAnalysis { report, ddg })
+    })?;
+    Ok(analyses
+        .pop()
+        .expect("the profile has a row for every loop of the module"))
+}
+
+/// Profiles `main` and analyzes every hot loop, in descending order of
+/// percent of cycles: [`analyze_source`] and [`crate::gap::analyze_gap`]
+/// differ only in what `per_loop` does with each row and its DDG.
+pub(crate) fn analyze_hot_loops<T: Send>(
+    module: &Module,
+    options: &AnalysisOptions,
+    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+) -> Result<Vec<T>, Error> {
+    let select = |vm: &Vm<'_>| {
+        let hot = vm
+            .profiler()
+            .hot_loops(module, vm.forests(), options.hot_threshold_pct);
+        let mut hot: Vec<LoopProfile> = hot.into_iter().map(|h| h.profile).collect();
+        hot.sort_by(|a, b| b.percent.total_cmp(&a.percent));
+        hot
+    };
+    analyze_loops(module, options, select, per_loop)
+}
+
+/// The one capture-and-analyze path.
+///
+/// Profiles a run of `main` and takes the loops `select` picks from it.
+/// Then every sampled instance of every picked loop is armed as its own
+/// [`CaptureSpec`] on one VM, and `main` runs once more. The per-loop
+/// analyses fan out across the work pool: each worker builds the DDG of
+/// every sub-trace of its loop, keeps the representative one, assembles
+/// the report row and hands the row and that DDG, by value, to `per_loop`.
+///
+/// Results come back in `select`'s order, and a worker's failure surfaces
+/// as the lowest-indexed error, so the output is identical to the
+/// sequential engine's at every thread count. The stride stage inside each
+/// worker stays single-threaded ([`AnalysisOptions::worker_metric_options`])
+/// unless there is only one loop to analyze.
+fn analyze_loops<T: Send>(
+    module: &Module,
+    options: &AnalysisOptions,
+    select: impl FnOnce(&Vm<'_>) -> Vec<LoopProfile>,
+    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+) -> Result<Vec<T>, Error> {
+    // Profiling run. Its VM is dropped before the capture VM exists, so
+    // the two program images are never resident together.
     let mut vm = Vm::with_options(module, options.vm_options());
     vm.run_main()?;
-    let profiles = vm.profiler().profiles(module, vm.forests());
-    let (percent, entries) = profiles
+    let loops = select(&vm);
+    let inst_counts = vm.inst_counts().to_vec();
+    let branch_taken = vm.branch_taken().to_vec();
+    drop(vm);
+    if loops.is_empty() {
+        return Ok(Vec::new());
+    }
+
+    let empty_trace = |p: &LoopProfile| Error::EmptyTrace {
+        func: p.func_name.clone(),
+        line: p.span.line,
+    };
+    let mut vm = Vm::with_options(module, options.vm_options());
+    let mut n_traces = Vec::with_capacity(loops.len());
+    for p in &loops {
+        // A loop that was never entered cannot produce a trace; fail
+        // before spending a capture run (and before `sampled_instances`,
+        // whose clamp needs `entries > 0`).
+        if p.entries == 0 {
+            return Err(empty_trace(p));
+        }
+        let label = format!("{}:{}", p.func_name, p.span.line);
+        let instances = sampled_instances(options.loop_instance, p.entries);
+        for &instance in &instances {
+            let spec = CaptureSpec::Loop {
+                func: p.key.func,
+                loop_id: p.key.loop_id,
+                instance,
+            };
+            vm.add_capture(spec, &label);
+        }
+        n_traces.push(instances.len());
+    }
+    vm.run_main()?;
+    let mut traces = vm.take_traces().into_iter();
+    drop(vm);
+
+    let work: Vec<(&LoopProfile, Vec<Trace>)> = loops
         .iter()
-        .find(|p| p.key.func == func && p.key.loop_id == loop_id)
-        .map(|p| (p.percent, p.entries))
-        .unwrap_or((0.0, 0));
-    let mut analysis = analyze_loop_inner(module, func, loop_id, options, percent, entries)?;
-    analysis.report.control_irregularity = crate::control::loop_irregularity(
-        module,
-        func,
-        loop_id,
-        vm.inst_counts(),
-        vm.branch_taken(),
-    );
-    Ok(analysis)
+        .zip(n_traces)
+        .map(|(p, n)| (p, traces.by_ref().take(n).collect()))
+        .collect();
+    let metric_options = if work.len() > 1 {
+        options.worker_metric_options()
+    } else {
+        options.metric_options()
+    };
+    rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
+        let (ddg, metrics, per_inst) =
+            best_of_traces(module, options, &metric_options, loop_traces)?
+                .ok_or_else(|| empty_trace(p))?;
+        let (func, loop_id) = (p.key.func, p.key.loop_id);
+        let report = LoopReport {
+            module_name: module.name().to_string(),
+            func_name: p.func_name.clone(),
+            func,
+            loop_id,
+            loop_line: p.span.line,
+            percent_cycles: p.percent,
+            percent_packed: None,
+            control_irregularity: crate::control::loop_irregularity(
+                module,
+                func,
+                loop_id,
+                &inst_counts,
+                &branch_taken,
+            ),
+            metrics,
+            per_inst,
+            ddg_nodes: ddg.len(),
+        };
+        per_loop(report, ddg)
+    })
 }
 
 /// The dynamic loop instances to capture, per the sampling policy.
@@ -578,156 +531,29 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
 }
 
 /// Analyzes each captured sub-trace and keeps the one with the most
-/// candidate operations (the paper's "representative subtrace"). Returns
-/// `None` if every trace is empty.
+/// candidate operations (the paper's "representative subtrace"; ties go to
+/// the earliest instance). Returns `None` if every trace is empty.
 fn best_of_traces(
     module: &Module,
     options: &AnalysisOptions,
     metric_options: &MetricOptions,
-    traces: &[vectorscope_trace::Trace],
-) -> Result<
-    Option<(
-        Ddg,
-        crate::metrics::LoopMetrics,
-        Vec<crate::metrics::InstMetrics>,
-    )>,
-    Error,
-> {
-    let mut best: Option<(
-        Ddg,
-        crate::metrics::LoopMetrics,
-        Vec<crate::metrics::InstMetrics>,
-    )> = None;
+    traces: &[Trace],
+) -> Result<Option<(Ddg, LoopMetrics, Vec<InstMetrics>)>, Error> {
+    let mut best: Option<(Ddg, LoopMetrics, Vec<InstMetrics>)> = None;
     for trace in traces {
         if trace.is_empty() {
             continue;
         }
         let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
         let (metrics, per_inst) = analyze_ddg(module, &ddg, metric_options);
-        let better = match &best {
-            None => true,
-            Some((_, m, _)) => metrics.total_ops > m.total_ops,
-        };
-        if better {
+        if best
+            .as_ref()
+            .is_none_or(|(_, m, _)| metrics.total_ops > m.total_ops)
+        {
             best = Some((ddg, metrics, per_inst));
         }
     }
     Ok(best)
-}
-
-/// The streaming counterpart of [`best_of_traces`]: finishes each armed
-/// analyzer for one plan and keeps the outcome with the most candidate
-/// operations (ties go to the earliest instance, matching the batch
-/// engine's strict `>` comparison). Analyzers that saw no events
-/// correspond to empty traces and are skipped.
-fn best_of_streams(
-    analyzers: Vec<StreamingAnalyzer<'_>>,
-    metric_options: &MetricOptions,
-) -> Result<Option<StreamOutcome>, Error> {
-    let mut best: Option<StreamOutcome> = None;
-    for analyzer in analyzers {
-        if analyzer.events() == 0 {
-            continue;
-        }
-        let outcome = analyzer.finish(metric_options)?;
-        let better = match &best {
-            None => true,
-            Some(b) => outcome.metrics.total_ops > b.metrics.total_ops,
-        };
-        if better {
-            best = Some(outcome);
-        }
-    }
-    Ok(best)
-}
-
-fn analyze_loop_inner(
-    module: &Module,
-    func: FuncId,
-    loop_id: LoopId,
-    options: &AnalysisOptions,
-    percent_cycles: f64,
-    entries: u64,
-) -> Result<LoopAnalysis, Error> {
-    let function = module.function(func);
-    let forest = vectorscope_ir::loops::LoopForest::new(function);
-    let line = forest.span_of(function, loop_id).line;
-
-    // A loop that was never entered cannot produce a trace; fail before
-    // spending a capture run (and before `sampled_instances`, whose clamp
-    // needs `entries > 0`).
-    if entries == 0 {
-        return Err(Error::EmptyTrace {
-            func: function.name().to_string(),
-            line,
-        });
-    }
-
-    // One execution captures every sampled instance simultaneously.
-    let label = format!("{}:{}", function.name(), line);
-    let mut vm = Vm::with_options(module, options.vm_options());
-    for &instance in &sampled_instances(options.loop_instance, entries) {
-        vm.add_capture(
-            CaptureSpec::Loop {
-                func,
-                loop_id,
-                instance,
-            },
-            &label,
-        );
-    }
-    vm.run_main()?;
-
-    let Some((ddg, metrics, per_inst)) = best_of_traces(
-        module,
-        options,
-        &options.metric_options(),
-        &vm.take_traces(),
-    )?
-    else {
-        return Err(Error::EmptyTrace {
-            func: function.name().to_string(),
-            line,
-        });
-    };
-    let report = make_report(
-        module,
-        func,
-        loop_id,
-        line,
-        percent_cycles,
-        metrics,
-        per_inst,
-        ddg.len(),
-    );
-    Ok(LoopAnalysis { report, ddg })
-}
-
-/// Assembles a report row from the analysis results.
-#[allow(clippy::too_many_arguments)]
-fn make_report(
-    module: &Module,
-    func: FuncId,
-    loop_id: LoopId,
-    line: u32,
-    percent_cycles: f64,
-    metrics: crate::metrics::LoopMetrics,
-    per_inst: Vec<crate::metrics::InstMetrics>,
-    ddg_nodes: usize,
-) -> LoopReport {
-    LoopReport {
-        module_name: module.name().to_string(),
-        func_name: module.function(func).name().to_string(),
-        func,
-        loop_id,
-        loop_line: line,
-        percent_cycles,
-        percent_packed: None,
-        control_irregularity: 0.0,
-        metrics,
-        per_inst,
-        ddg_nodes,
-    }
 }
 
 #[cfg(test)]

@@ -28,11 +28,12 @@
 //! Like every other report in this workspace, the output is byte-identical
 //! at every worker-thread count.
 
-use crate::driver::{analyze_loop, analyze_source, AnalysisOptions, Error};
+use crate::driver::{analyze_hot_loops, per_program, AnalysisOptions, Error};
 use crate::report::LoopReport;
 use crate::triage::{triage_with_gap, TriageThresholds, Verdict};
 use vectorscope_autovec::affine::scan_loop;
-use vectorscope_autovec::{analyze_module as autovec_analyze, percent_packed};
+use vectorscope_autovec::{analyze_module as autovec_analyze, percent_packed, LoopDecision};
+use vectorscope_ddg::Ddg;
 use vectorscope_ir::loops::LoopForest;
 use vectorscope_ir::{InstId, Module};
 use vectorscope_staticdep::{DepKind, GapCause, LoopDep, StrideClass, Verdict as PairVerdict};
@@ -223,6 +224,12 @@ impl GapSuite {
 /// [`analyze_source`](crate::analyze_source), then statically analyzes
 /// every hot loop and cross-validates the two results.
 ///
+/// Each hot loop is cross-validated in the worker that built its
+/// representative DDG, so the program runs exactly twice (profile +
+/// capture) whatever its number of hot loops, and each report row is the
+/// one [`analyze_source`](crate::analyze_source) returns, with *Percent
+/// Packed* attached.
+///
 /// # Errors
 ///
 /// Propagates every [`Error`] of the dynamic pipeline (compile, VM,
@@ -250,110 +257,112 @@ impl GapSuite {
 /// # Ok::<(), vectorscope::Error>(())
 /// ```
 pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Result<GapSuite, Error> {
-    let suite = analyze_source(name, source, options)?;
-    let module = suite.module;
+    let module = vectorscope_frontend::compile(name, source)?;
     let decisions = autovec_analyze(&module);
-    let thresholds = TriageThresholds::default();
+    let loops = analyze_hot_loops(&module, options, |report, ddg| {
+        Ok(cross_validate(&module, &decisions, options, report, &ddg))
+    })?;
+    Ok(GapSuite { module, loops })
+}
 
-    let mut loops = Vec::with_capacity(suite.loops.len());
-    for row in &suite.loops {
-        let dep = vectorscope_staticdep::analyze_loop(&module, row.func, row.loop_id)
-            .expect("hot loop exists in the loop forest");
-        // Re-capture the same loop to get its DDG alongside the report;
-        // with identical options the sampling, partitioning, and metrics
-        // are identical to the suite pass, so the DDG matches the report.
-        let analysis = analyze_loop(&module, row.func, row.loop_id, options)?;
-        let mut report = analysis.report;
-        let counts: Vec<(InstId, u64)> = report
-            .per_inst
-            .iter()
-            .map(|m| (m.inst, m.instances))
-            .collect();
-        report.percent_packed = Some(percent_packed(&decisions, &counts));
+/// Cross-validates one hot loop's dynamic report and representative DDG
+/// against the static analysis of the same loop.
+fn cross_validate(
+    module: &Module,
+    decisions: &[LoopDecision],
+    options: &AnalysisOptions,
+    mut report: LoopReport,
+    ddg: &Ddg,
+) -> LoopGap {
+    let dep = vectorscope_staticdep::analyze_loop(module, report.func, report.loop_id)
+        .expect("hot loop exists in the loop forest");
+    let counts: Vec<(InstId, u64)> = report
+        .per_inst
+        .iter()
+        .map(|m| (m.inst, m.instances))
+        .collect();
+    report.percent_packed = Some(percent_packed(decisions, &counts));
 
-        let observed_trip = report
-            .per_inst
-            .iter()
-            .map(|m| m.instances)
-            .max()
-            .unwrap_or(0);
+    let observed_trip = report
+        .per_inst
+        .iter()
+        .map(|m| m.instances)
+        .max()
+        .unwrap_or(0);
 
-        // Witness obligations: proven flow dependences that had time to
-        // materialize must appear in the dynamic DDG.
-        let multi_store = multi_store_sources(&module, &dep);
-        let mut witnesses = Vec::new();
-        for p in &dep.pairs {
-            let PairVerdict::ProvenDependence(v) = p.verdict else {
-                continue;
-            };
-            if v.kind != DepKind::Flow || v.min_trip > observed_trip {
-                continue;
-            }
-            witnesses.push(WitnessCheck {
-                source: v.source,
-                source_line: module.span_of(v.source).line,
-                sink: v.sink,
-                sink_line: module.span_of(v.sink).line,
-                distance: v.distance,
-                min_trip: v.min_trip,
-                witnessed: analysis.ddg.has_flow_edge(v.source, v.sink),
-                shadowed: multi_store.contains(&v.source),
-            });
-        }
-
-        // Bound obligations: static serialization theorems vs. dynamic
-        // partition sizes.
-        let bounds: Vec<BoundCheck> = dep
-            .bounds
-            .iter()
-            .filter_map(|b| {
-                let m = report.per_inst.iter().find(|m| m.inst == b.inst)?;
-                Some(BoundCheck {
-                    inst: b.inst,
-                    line: m.span.line,
-                    bound: b.distance,
-                    from_reduction: b.from_reduction,
-                    reduction_broken: options.break_reductions,
-                    instances: m.instances,
-                    avg_partition_size: m.avg_partition_size,
-                })
-            })
-            .collect();
-
-        // Stride oracle: statically contiguous loops cannot exhibit
-        // non-unit dynamic vector ops.
-        let all_contiguous = !dep.strides.is_empty()
-            && dep
-                .strides
-                .iter()
-                .all(|s| matches!(s.class, StrideClass::Zero | StrideClass::Unit));
-        let stride = if dep.exact && all_contiguous {
-            if report.metrics.pct_non_unit_vec_ops > 1e-9 {
-                StrideOracle::Violated
-            } else {
-                StrideOracle::Consistent
-            }
-        } else {
-            StrideOracle::NotApplicable
+    // Witness obligations: proven flow dependences that had time to
+    // materialize must appear in the dynamic DDG.
+    let multi_store = multi_store_sources(module, &dep);
+    let mut witnesses = Vec::new();
+    for p in &dep.pairs {
+        let PairVerdict::ProvenDependence(v) = p.verdict else {
+            continue;
         };
-
-        let gap_pct = gap_percent(&report, &dep, options.break_reductions);
-        let causes = dep.limits.clone();
-        let verdict = triage_with_gap(&report, &causes, &thresholds);
-
-        loops.push(LoopGap {
-            report,
-            dep,
-            observed_trip,
-            witnesses,
-            bounds,
-            stride,
-            gap_pct,
-            causes,
-            verdict,
+        if v.kind != DepKind::Flow || v.min_trip > observed_trip {
+            continue;
+        }
+        witnesses.push(WitnessCheck {
+            source: v.source,
+            source_line: module.span_of(v.source).line,
+            sink: v.sink,
+            sink_line: module.span_of(v.sink).line,
+            distance: v.distance,
+            min_trip: v.min_trip,
+            witnessed: ddg.has_flow_edge(v.source, v.sink),
+            shadowed: multi_store.contains(&v.source),
         });
     }
-    Ok(GapSuite { module, loops })
+
+    // Bound obligations: static serialization theorems vs. dynamic
+    // partition sizes.
+    let bounds: Vec<BoundCheck> = dep
+        .bounds
+        .iter()
+        .filter_map(|b| {
+            let m = report.per_inst.iter().find(|m| m.inst == b.inst)?;
+            Some(BoundCheck {
+                inst: b.inst,
+                line: m.span.line,
+                bound: b.distance,
+                from_reduction: b.from_reduction,
+                reduction_broken: options.break_reductions,
+                instances: m.instances,
+                avg_partition_size: m.avg_partition_size,
+            })
+        })
+        .collect();
+
+    // Stride oracle: statically contiguous loops cannot exhibit
+    // non-unit dynamic vector ops.
+    let all_contiguous = !dep.strides.is_empty()
+        && dep
+            .strides
+            .iter()
+            .all(|s| matches!(s.class, StrideClass::Zero | StrideClass::Unit));
+    let stride = if dep.exact && all_contiguous {
+        if report.metrics.pct_non_unit_vec_ops > 1e-9 {
+            StrideOracle::Violated
+        } else {
+            StrideOracle::Consistent
+        }
+    } else {
+        StrideOracle::NotApplicable
+    };
+
+    let gap_pct = gap_percent(&report, &dep, options.break_reductions);
+    let causes = dep.limits.clone();
+    let verdict = triage_with_gap(&report, &causes, &TriageThresholds::default());
+    LoopGap {
+        report,
+        dep,
+        observed_trip,
+        witnesses,
+        bounds,
+        stride,
+        gap_pct,
+        causes,
+        verdict,
+    }
 }
 
 /// Cross-validates a batch of independent programs, fanning out across the
@@ -364,17 +373,7 @@ pub fn analyze_gap_sources(
     programs: &[(String, String)],
     options: &AnalysisOptions,
 ) -> Vec<Result<GapSuite, Error>> {
-    let per_program = if programs.len() > 1 {
-        AnalysisOptions {
-            threads: 1,
-            ..options.clone()
-        }
-    } else {
-        options.clone()
-    };
-    rayon_lite::par_map(options.threads, programs, |_, (name, source)| {
-        analyze_gap(name, source, &per_program)
-    })
+    per_program(programs, options, analyze_gap)
 }
 
 /// The proven-flow sources whose base object is written by more than one

@@ -31,7 +31,7 @@
 //! row, and only candidate instances and true merges make a new one.
 //! [`StreamingAnalyzer::finish`] then runs the shared stride core and the
 //! shared metrics assembler, producing reports **byte-identical** to
-//! [`crate::analyze_ddg`] over the batch DDG of the same event stream.
+//! [`crate::metrics::analyze_ddg`] over the batch DDG of the same event stream.
 //!
 //! Peak resident state is `O(live frames + live cells + candidate
 //! instances)`: a returned activation's register frame is recycled, the
@@ -40,11 +40,6 @@
 //! bundled kernel with the longest trace that is 5.7× below the batch DDG
 //! footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
 //! observability counters (`vscope stats`).
-//!
-//! One deliberate non-feature: the reduction-breaking extension needs
-//! whole-graph reduction chains *before* timestamping, which contradicts a
-//! one-pass engine; the driver falls back to the batch engine when
-//! `break_reductions` is requested.
 
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
 use crate::partition::dominance;
@@ -315,12 +310,6 @@ impl<'m> StreamingAnalyzer<'m> {
         }
     }
 
-    /// Events consumed so far (0 means the capture never fired — the
-    /// streaming equivalent of an empty trace).
-    pub fn events(&self) -> u64 {
-        self.stats.events
-    }
-
     /// Consumes one trace event, updating live state online.
     pub fn consume(&mut self, event: &TraceEvent) {
         self.stats.events += 1;
@@ -344,8 +333,8 @@ impl<'m> StreamingAnalyzer<'m> {
     /// partitions and assembles the report.
     ///
     /// `options.threads` fans the per-(candidate, partition) stride shards
-    /// exactly like the batch engine; `options.break_reductions` is not
-    /// supported here (the driver falls back to batch) and is ignored.
+    /// exactly like the batch engine; `options.break_reductions` is
+    /// ignored (reduction chains are a whole-graph property).
     ///
     /// # Errors
     ///

@@ -169,8 +169,7 @@ pub fn triage_suite(reports: &[LoopReport], t: &TriageThresholds) -> Vec<(usize,
         rank(a.1).cmp(&rank(b.1)).then(
             reports[b.0]
                 .percent_cycles
-                .partial_cmp(&reports[a.0].percent_cycles)
-                .expect("finite"),
+                .total_cmp(&reports[a.0].percent_cycles),
         )
     });
     out
@@ -329,6 +328,19 @@ mod tests {
         ];
         let shown: std::collections::HashSet<String> = all.iter().map(|v| v.to_string()).collect();
         assert_eq!(shown.len(), all.len());
+    }
+
+    /// Reports are caller-built, so a NaN share of cycles must not panic
+    /// the ordering.
+    #[test]
+    fn suite_ordering_tolerates_nan_percent_cycles() {
+        let t = TriageThresholds::default();
+        let mut nan = report(0.0, 90.0, 0.0, 0.0);
+        nan.percent_cycles = f64::NAN;
+        let reports = vec![report(0.0, 90.0, 0.0, 0.0), nan];
+        let order = triage_suite(&reports, &t);
+        assert_eq!(order.len(), 2);
+        assert!(order.iter().all(|&(_, v)| v == Verdict::MissedOpportunity));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 
 use vectorscope::gap::{analyze_gap, analyze_gap_sources, GapSuite, StrideOracle};
 use vectorscope::triage::Verdict;
-use vectorscope::AnalysisOptions;
+use vectorscope::{analyze_source, AnalysisOptions};
+use vectorscope_autovec::{analyze_module, percent_packed};
 use vectorscope_kernels::{Kernel, Variant};
 use vectorscope_staticdep::GapCause;
 
@@ -61,6 +62,32 @@ fn no_bundled_kernel_violates_the_oracle() {
             kernel.file_name(),
             violations.join("\n")
         );
+    }
+}
+
+/// `gap` reuses the suite pass's rows: every `LoopGap::report` is exactly
+/// the matching `analyze_source` row with *Percent Packed* attached, on
+/// every bundled kernel and at 1 and 2 threads.
+#[test]
+fn gap_reports_are_the_suite_rows_with_percent_packed() {
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        for threads in [1usize, 2] {
+            let options = AnalysisOptions {
+                threads,
+                ..AnalysisOptions::default()
+            };
+            let suite = analyze_source(&name, &kernel.source, &options)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let decisions = analyze_module(&suite.module);
+            let gap = gap_of(&kernel, &options);
+            assert_eq!(gap.loops.len(), suite.loops.len(), "{name}: hot loops");
+            for (l, mut row) in gap.loops.iter().zip(suite.loops) {
+                let counts: Vec<_> = row.per_inst.iter().map(|m| (m.inst, m.instances)).collect();
+                row.percent_packed = Some(percent_packed(&decisions, &counts));
+                assert_eq!(l.report, row, "{name} at {threads} threads");
+            }
+        }
     }
 }
 

@@ -2,44 +2,159 @@
 //!
 //! The streaming engine ([`vectorscope::stream`]) consumes trace events as
 //! the VM emits them and never materializes a trace or DDG. Its contract is
-//! that reports are **byte-identical** to the batch engine's: same JSON,
-//! same goldens, same behavior at every thread count. These tests enforce
-//! that over every bundled kernel, over the checked-in golden snapshots,
-//! and over proptest-generated random programs — plus a regression test
-//! pinning the overlapping-store dependence fix in *both* engines.
+//! that its metrics are **byte-identical** to the batch engine's
+//! ([`analyze_ddg`] over the DDG of the same events), at every thread
+//! count. These tests enforce that over every hot-loop sub-trace the driver
+//! captures for the bundled kernels and the golden snapshots, over
+//! whole-program runs of proptest-generated random programs, and pin the
+//! overlapping-store dependence fix in *both* engines.
 
 use proptest::prelude::*;
 use vectorscope::json::suite_json;
-use vectorscope::{analyze_program, analyze_source, stream_program, AnalysisOptions};
+use vectorscope::metrics::{analyze_ddg, MetricOptions};
+use vectorscope::{
+    analyze_program, analyze_source, stream_program, AnalysisOptions, CandidatePolicy, LoopReport,
+    StreamOutcome, StreamingAnalyzer,
+};
+use vectorscope_ddg::Ddg;
+use vectorscope_interp::{CaptureSpec, Vm};
+use vectorscope_ir::Module;
+use vectorscope_trace::Trace;
 
-/// Renders the canonical JSON report with the given engine and threads.
-fn report_json(name: &str, source: &str, streaming: bool, threads: usize) -> String {
-    let options = AnalysisOptions {
-        streaming,
-        threads,
-        ..AnalysisOptions::default()
-    };
-    let suite = analyze_source(name, source, &options)
-        .unwrap_or_else(|e| panic!("{name} failed to analyze (streaming={streaming}): {e}"));
-    suite_json(&suite.loops)
+/// One hot loop's report row from [`analyze_source`] and the sub-traces of
+/// the instances the driver sampled for it, in instance order.
+struct CapturedLoop {
+    row: LoopReport,
+    traces: Vec<Trace>,
 }
 
+/// Runs [`analyze_source`] with default options and re-captures, in one
+/// run, the sub-traces its rows were computed from (the default
+/// [`vectorscope::InstancePick::Representative`] sampling of four
+/// instances spread over the run).
+fn captured_loops(name: &str, source: &str) -> (Module, Vec<CapturedLoop>) {
+    let options = AnalysisOptions::default();
+    let suite = analyze_source(name, source, &options)
+        .unwrap_or_else(|e| panic!("{name} failed to analyze: {e}"));
+    let module = suite.module;
+    let mut vm = Vm::new(&module);
+    vm.run_main().unwrap();
+    let profiles = vm.profiler().profiles(&module, vm.forests());
+    let mut cap = Vm::new(&module);
+    let mut counts = Vec::new();
+    for row in &suite.loops {
+        let entries = profiles
+            .iter()
+            .find(|p| p.key.func == row.func && p.key.loop_id == row.loop_id)
+            .map(|p| p.entries)
+            .expect("a hot loop has a profile row");
+        let mut instances: Vec<u64> = (0..4).map(|s| (s * entries / 4).min(entries - 1)).collect();
+        instances.dedup();
+        for &instance in &instances {
+            let spec = CaptureSpec::Loop {
+                func: row.func,
+                loop_id: row.loop_id,
+                instance,
+            };
+            cap.add_capture(spec, &row.location());
+        }
+        counts.push(instances.len());
+    }
+    cap.run_main().unwrap();
+    let mut traces = cap.take_traces().into_iter();
+    drop((vm, cap));
+    let loops = suite
+        .loops
+        .into_iter()
+        .zip(counts)
+        .map(|(row, n)| CapturedLoop {
+            row,
+            traces: traces.by_ref().take(n).collect(),
+        })
+        .collect();
+    (module, loops)
+}
+
+/// Feeds `trace` through a fresh [`StreamingAnalyzer`] and checks its
+/// metrics, per-instruction rows and node count against [`analyze_ddg`]
+/// over the DDG of the same trace, at 1, 2 and 7 stride threads (7 exceeds
+/// the shard count of most sub-traces, exercising over-subscription).
+fn stream_and_compare(module: &Module, trace: &Trace, what: &str) -> StreamOutcome {
+    let policy = CandidatePolicy::FloatArith;
+    let ddg = Ddg::try_build_with_policy(module, trace, policy).unwrap();
+    let [first, _, _] = [1usize, 2, 7].map(|threads| {
+        let options = MetricOptions {
+            break_reductions: false,
+            threads,
+        };
+        let (metrics, per_inst) = analyze_ddg(module, &ddg, &options);
+        let mut analyzer = StreamingAnalyzer::new(module, policy);
+        for event in trace {
+            analyzer.consume(event);
+        }
+        let streamed = analyzer
+            .finish(&options)
+            .unwrap_or_else(|e| panic!("{what}: streaming failed: {e}"));
+        assert_eq!(
+            metrics, streamed.metrics,
+            "{what}: metrics diverged at {threads} threads"
+        );
+        assert_eq!(
+            per_inst, streamed.per_inst,
+            "{what}: per-inst diverged at {threads} threads"
+        );
+        assert_eq!(ddg.len(), streamed.nodes, "{what}: node count diverged");
+        streamed
+    });
+    first
+}
+
+/// Streams every captured sub-trace of `l` (see [`stream_and_compare`])
+/// and returns its report row with the streamed representative (most
+/// candidate operations, ties to the earliest instance) in place of the
+/// batch one.
+fn streamed_row(module: &Module, l: &CapturedLoop) -> LoopReport {
+    let what = l.row.location();
+    let mut best: Option<StreamOutcome> = None;
+    for trace in l.traces.iter().filter(|t| !t.is_empty()) {
+        let outcome = stream_and_compare(module, trace, &what);
+        if best
+            .as_ref()
+            .is_none_or(|b| outcome.metrics.total_ops > b.metrics.total_ops)
+        {
+            best = Some(outcome);
+        }
+    }
+    let best = best.unwrap_or_else(|| panic!("{what}: every sub-trace is empty"));
+    LoopReport {
+        metrics: best.metrics,
+        per_inst: best.per_inst,
+        ddg_nodes: best.nodes,
+        ..l.row.clone()
+    }
+}
+
+/// Every hot-loop sub-trace the driver captures for every bundled kernel
+/// streams to the batch engine's exact metrics, and the streamed
+/// representative reproduces the driver's report row.
 #[test]
 fn every_bundled_kernel_is_byte_identical_to_the_batch_engine() {
     for kernel in vectorscope_kernels::all_kernels() {
         let name = kernel.file_name();
-        let batch = report_json(&name, &kernel.source, false, 1);
-        let streaming = report_json(&name, &kernel.source, true, 1);
-        assert_eq!(
-            batch, streaming,
-            "{name}: streaming report diverged from the batch engine"
-        );
+        let (module, loops) = captured_loops(&name, &kernel.source);
+        for l in &loops {
+            assert_eq!(
+                streamed_row(&module, l),
+                l.row,
+                "{name}: streamed row diverged from the driver's"
+            );
+        }
     }
 }
 
-/// The streaming engine must reproduce every checked-in golden snapshot
-/// byte-for-byte — the same gate the batch engine passes in
-/// `tests/golden.rs`, without regenerating through the batch path.
+/// The streaming engine reproduces every checked-in golden snapshot
+/// byte-for-byte from the captured sub-traces — the same gate the driver
+/// passes in `tests/golden.rs`.
 #[test]
 fn golden_snapshots_match_the_streaming_engine() {
     let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"));
@@ -53,7 +168,9 @@ fn golden_snapshots_match_the_streaming_engine() {
         let path = dir.join(format!("{name}.json"));
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read golden snapshot {}: {e}", path.display()));
-        let mut streaming = report_json(&name, &kernel.source, true, 1);
+        let (module, loops) = captured_loops(&name, &kernel.source);
+        let rows: Vec<LoopReport> = loops.iter().map(|l| streamed_row(&module, l)).collect();
+        let mut streaming = suite_json(&rows);
         streaming.push('\n');
         assert_eq!(
             golden, streaming,
@@ -62,30 +179,22 @@ fn golden_snapshots_match_the_streaming_engine() {
     }
 }
 
-/// The streaming engine inherits the determinism contract: reports *and*
-/// observability counters are identical at 1, 2, and 7 threads (7 exceeds
-/// the shard count of most kernels, exercising over-subscription).
+/// The streaming engine inherits the determinism contract: whole-program
+/// metrics *and* observability counters are identical at 1, 2, and 7
+/// threads.
 #[test]
 fn streaming_reports_and_stats_are_identical_at_1_2_and_7_threads() {
     for kernel in vectorscope_kernels::studies::kernels().into_iter().take(4) {
         let name = kernel.file_name();
-        let mut reports = Vec::new();
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 2, 7] {
+        let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
+        let outcomes = [1usize, 2, 7].map(|threads| {
             let options = AnalysisOptions {
-                streaming: true,
                 threads,
                 ..AnalysisOptions::default()
             };
-            reports.push(report_json(&name, &kernel.source, true, threads));
-            let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
-            outcomes.push(
-                stream_program(&module, &options)
-                    .unwrap_or_else(|e| panic!("{name} failed to stream: {e}")),
-            );
-        }
-        assert_eq!(reports[0], reports[1], "{name}: diverged at 2 threads");
-        assert_eq!(reports[0], reports[2], "{name}: diverged at 7 threads");
+            stream_program(&module, &options)
+                .unwrap_or_else(|e| panic!("{name} failed to stream: {e}"))
+        });
         for o in &outcomes[1..] {
             assert_eq!(outcomes[0].metrics, o.metrics, "{name}: metrics diverged");
             assert_eq!(
@@ -103,32 +212,36 @@ fn streaming_reports_and_stats_are_identical_at_1_2_and_7_threads() {
     }
 }
 
-/// Whole-program streaming must agree with the batch whole-program
+/// Asserts that [`stream_program`] agrees with the batch whole-program
 /// analysis ([`analyze_program`]) on metrics, per-instruction rows, and
 /// node count.
+fn assert_stream_program_matches(name: &str, module: &Module, threads: usize) {
+    let options = AnalysisOptions {
+        threads,
+        ..AnalysisOptions::default()
+    };
+    let batch = analyze_program(module, &options)
+        .unwrap_or_else(|e| panic!("{name} failed to analyze: {e}"));
+    let streamed =
+        stream_program(module, &options).unwrap_or_else(|e| panic!("{name} failed to stream: {e}"));
+    assert_eq!(batch.metrics, streamed.metrics, "{name}: metrics diverged");
+    assert_eq!(
+        batch.per_inst, streamed.per_inst,
+        "{name}: per-inst diverged"
+    );
+    assert_eq!(
+        batch.ddg.len(),
+        streamed.nodes,
+        "{name}: node count diverged"
+    );
+}
+
 #[test]
 fn stream_program_matches_analyze_program() {
     for kernel in vectorscope_kernels::studies::kernels().into_iter().take(4) {
         let name = kernel.file_name();
         let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
-        let options = AnalysisOptions {
-            threads: 1,
-            ..AnalysisOptions::default()
-        };
-        let batch = analyze_program(&module, &options)
-            .unwrap_or_else(|e| panic!("{name} failed to analyze: {e}"));
-        let streamed = stream_program(&module, &options)
-            .unwrap_or_else(|e| panic!("{name} failed to stream: {e}"));
-        assert_eq!(batch.metrics, streamed.metrics, "{name}: metrics diverged");
-        assert_eq!(
-            batch.per_inst, streamed.per_inst,
-            "{name}: per-inst diverged"
-        );
-        assert_eq!(
-            batch.ddg.len(),
-            streamed.nodes,
-            "{name}: node count diverged"
-        );
+        assert_stream_program_matches(&name, &module, 1);
     }
 }
 
@@ -189,27 +302,6 @@ fn overlapping_store_serializes_the_chain_in_both_engines() {
     assert_eq!(batch.metrics, streamed.metrics);
 }
 
-/// `break_reductions` needs the whole graph, so the driver silently falls
-/// back to the batch engine — the flag combination must still produce the
-/// batch engine's exact bytes.
-#[test]
-fn break_reductions_falls_back_to_the_batch_engine() {
-    let kernel = vectorscope_kernels::paper::listing3_original(12);
-    let name = kernel.file_name();
-    let mut reports = Vec::new();
-    for streaming in [false, true] {
-        let options = AnalysisOptions {
-            streaming,
-            break_reductions: true,
-            threads: 1,
-            ..AnalysisOptions::default()
-        };
-        let suite = analyze_source(&name, &kernel.source, &options).unwrap();
-        reports.push(suite_json(&suite.loops));
-    }
-    assert_eq!(reports[0], reports[1]);
-}
-
 /// Emits a random-but-valid Kern program covering every engine path —
 /// unit stride, non-unit stride, reversed access, reductions, serial
 /// chains (the determinism suite's grammar).
@@ -252,35 +344,18 @@ void main() {{
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random programs must report byte-identically under the streaming
-    /// engine, at every thread count.
+    /// Random programs must stream to the batch engine's exact
+    /// whole-program metrics, at every thread count.
     #[test]
     fn random_programs_stream_identically_to_the_batch_engine(
         n in 4u64..48,
         stmts in prop::collection::vec(0u8..7, 1..6),
     ) {
         let source = random_program(n, &stmts);
-        let options = AnalysisOptions {
-            threads: 1,
-            hot_threshold_pct: 1.0, // random bodies spread cycles thinly
-            ..AnalysisOptions::default()
-        };
-        let batch = analyze_source("rand.kern", &source, &options)
+        let module = vectorscope_frontend::compile("rand.kern", &source)
             .unwrap_or_else(|e| panic!("generated program failed: {e}\n{source}"));
-        let batch_json = suite_json(&batch.loops);
         for threads in [1usize, 2, 7] {
-            let options = AnalysisOptions {
-                streaming: true,
-                threads,
-                hot_threshold_pct: 1.0,
-                ..AnalysisOptions::default()
-            };
-            let suite = analyze_source("rand.kern", &source, &options)
-                .unwrap_or_else(|e| panic!("generated program failed streaming: {e}\n{source}"));
-            prop_assert_eq!(
-                &batch_json, &suite_json(&suite.loops),
-                "streaming diverged at {} threads for:\n{}", threads, source
-            );
+            assert_stream_program_matches(&source, &module, threads);
         }
     }
 }
