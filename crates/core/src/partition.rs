@@ -19,7 +19,7 @@
 //! the metrics layer fans across workers for the stride stage.
 
 use std::collections::HashSet;
-use vectorscope_ddg::Ddg;
+use vectorscope_ddg::{reserve_lean, Ddg};
 use vectorscope_ir::InstId;
 
 /// Parallel partitions of one static instruction's dynamic instances.
@@ -287,6 +287,7 @@ fn timestamp_rows(
         }
         if fwd == NONE {
             fwd = u32::try_from(rows.len() / k).expect("rows are bounded by node ids");
+            reserve_lean(&mut rows, k);
             rows.extend_from_slice(&cur);
         }
         row_of.push(fwd);

@@ -30,9 +30,12 @@ pub struct ReductionChain {
     pub chain_nodes: HashSet<u32>,
 }
 
-/// Whether `n`'s value reaches an instance of `inst` through register moves
-/// only (identity casts / FP copies), with the search capped to short move
-/// chains as produced by the frontend.
+/// Whether `start`'s value reaches an instance of `inst` through register
+/// moves only (identity casts, the frontend's `copy`), collecting that
+/// instance and the moves on the way into `collect`.
+///
+/// A move has one operand, so each operand of `start` leads back along a
+/// single chain of moves; the walk follows it in a loop, however long.
 fn reaches_through_moves(
     module: &Module,
     ddg: &Ddg,
@@ -40,22 +43,30 @@ fn reaches_through_moves(
     inst: InstId,
     collect: &mut HashSet<u32>,
 ) -> bool {
-    // Walk backwards from `start`'s operands.
+    let is_move = |n: u32| {
+        module
+            .inst(ddg.inst(n))
+            .is_some_and(|i| matches!(&i.kind, InstKind::Cast { to, from, .. } if to == from))
+    };
     let mut found = false;
-    for w in ddg.preds(start) {
-        if ddg.inst(w) == inst && ddg.is_candidate(w) {
-            collect.insert(w);
-            found = true;
-            continue;
-        }
-        // Register move? (identity cast, the frontend's `copy`)
-        let is_move = module
-            .inst(ddg.inst(w))
-            .map(|i| matches!(&i.kind, InstKind::Cast { to, from, .. } if to == from))
-            .unwrap_or(false);
-        if is_move && reaches_through_moves(module, ddg, w, inst, collect) {
-            collect.insert(w);
-            found = true;
+    let mut moves = Vec::new();
+    for mut w in ddg.preds(start) {
+        moves.clear();
+        loop {
+            if ddg.inst(w) == inst && ddg.is_candidate(w) {
+                collect.insert(w);
+                collect.extend(&moves);
+                found = true;
+                break;
+            }
+            if !is_move(w) {
+                break;
+            }
+            moves.push(w);
+            match ddg.preds(w).next() {
+                Some(p) => w = p,
+                None => break,
+            }
         }
     }
     found
@@ -223,5 +234,41 @@ mod tests {
         let parts = crate::partition(&ddg, c.inst, &c.chain_nodes);
         assert_eq!(parts.groups.len(), 1);
         assert_eq!(parts.groups[0].len(), 6);
+    }
+
+    #[test]
+    fn long_move_chains_do_not_overflow_the_stack() {
+        // 50,000 register moves separate the two instances of `acc +=`:
+        // a walk that recursed once per move overflowed a 2 MiB stack.
+        let src = r#"
+            const int N = 2;
+            double a[N]; double s = 0.0;
+            void main() {
+                for (int i = 0; i < N; i++) { a[i] = 1.0; }
+                double acc = 0.0;
+                for (int i = 0; i < N; i++) {
+                    acc += a[i];
+                    for (int j = 0; j < 50000; j++) { acc = acc; }
+                }
+                s = acc;
+            }
+        "#;
+        let chains = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let module = vectorscope_frontend::compile("moves.kern", src).unwrap();
+                let options = crate::AnalysisOptions {
+                    break_reductions: true,
+                    ..crate::AnalysisOptions::default()
+                };
+                let analysis = crate::analyze_program(&module, &options).unwrap();
+                reduction_chains(&module, &analysis.ddg)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(chains.len(), 1);
+        // Both instances plus every move between them.
+        assert!(chains[0].chain_nodes.len() > 50_000);
     }
 }

@@ -44,7 +44,6 @@ pub mod looplevel;
 pub mod resolve;
 
 use resolve::{Access, Handler, NodeEvent, Resolver, Writer};
-use std::collections::HashMap;
 use vectorscope_ir::{Inst, InstId, InstKind, Module};
 use vectorscope_trace::{Trace, TraceEvent};
 
@@ -144,7 +143,25 @@ impl CandidatePolicy {
     }
 }
 
-/// Per-node flags.
+/// Slots a [`reserve_lean`] step adds at least.
+const LEAN_FLOOR: usize = 4096;
+
+/// Makes room for `additional` more elements in `v`, growing its capacity
+/// by one eighth (at least a few thousand slots) instead of `Vec`'s
+/// doubling.
+///
+/// The DDG's columns and the partitioner's timestamp-row slab grow to
+/// hundreds of megabytes on whole-program runs; doubling leaves up to half
+/// of each allocation unused, growing by eighths at most a ninth.
+/// Large blocks are resized by remapping pages (glibc uses `mremap`), so
+/// the extra growth steps do not copy the data again.
+pub fn reserve_lean<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact((v.capacity() / 8).max(LEAN_FLOOR).max(additional));
+    }
+}
+
+/// What the nodes of one static instruction are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeClass {
     Load,
@@ -156,12 +173,13 @@ enum NodeClass {
     Other,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Node {
-    inst: InstId,
-    /// Dynamic memory address for loads/stores, 0 otherwise.
-    addr: u64,
+/// The per-instruction entry of a [`Ddg`]'s class table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InstClass {
     class: NodeClass,
+    /// Element size in bytes of a candidate's operands (0 for the other
+    /// classes) — the unit the stride check compares against.
+    elem: u64,
 }
 
 /// The dynamic data-dependence graph of one captured (sub)trace.
@@ -187,13 +205,19 @@ struct Node {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ddg {
-    nodes: Vec<Node>,
-    /// CSR offsets into `op_writers` (`nodes.len() + 1` entries).
+    /// The static instruction of each node.
+    insts: Vec<InstId>,
+    /// The dynamic memory address of each node: the accessed address for
+    /// loads and stores, 0 otherwise.
+    addrs: Vec<u64>,
+    /// CSR offsets into `op_writers` (`insts.len() + 1` entries).
     op_offsets: Vec<u32>,
     /// Operand writers in operand order; [`EXTERNAL`] marks missing ones.
     op_writers: Vec<u32>,
-    /// Element size in bytes per candidate's operand loads (by static inst).
-    elem_size: HashMap<InstId, u64>,
+    /// The class of each static instruction's nodes, by [`InstId`]
+    /// (`None` for instructions without a node): the class depends only on
+    /// the static instruction, so no node stores it.
+    classes: Vec<Option<InstClass>>,
 }
 
 impl Ddg {
@@ -241,48 +265,54 @@ impl Ddg {
 
     /// Number of nodes (dynamic instruction instances).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.insts.len()
     }
 
     /// Whether the graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.insts.is_empty()
     }
 
-    /// Resident bytes of the graph's analysis state: the node table plus
-    /// the CSR operand arrays (the per-candidate element-size map is a
-    /// handful of entries and counted at `HashMap` entry granularity).
-    /// This is the batch engine's peak-memory denominator in the
+    /// Bytes of the graph's data: the per-node instruction and address
+    /// columns, the CSR operand arrays and the per-instruction class table,
+    /// counted by length. The columns grow by eighths ([`reserve_lean`]),
+    /// so their allocated capacity exceeds this figure by at most an eighth
+    /// (or a few thousand slots, for a small graph). This is the batch engine's peak-memory denominator in the
     /// streaming-vs-batch comparison (`vscope stats`, `BENCH_streaming`).
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
+        self.insts.len() * std::mem::size_of::<InstId>()
+            + self.addrs.len() * std::mem::size_of::<u64>()
             + self.op_offsets.len() * std::mem::size_of::<u32>()
             + self.op_writers.len() * std::mem::size_of::<u32>()
-            + self.elem_size.len() * std::mem::size_of::<(InstId, u64)>()
+            + self.classes.len() * std::mem::size_of::<Option<InstClass>>()
     }
 
     /// The static instruction of node `n`.
     pub fn inst(&self, n: u32) -> InstId {
-        self.nodes[n as usize].inst
+        self.insts[n as usize]
+    }
+
+    /// The class of node `n`, from its instruction's table entry.
+    fn class(&self, n: u32) -> NodeClass {
+        self.classes[self.inst(n).index()].map_or(NodeClass::Other, |c| c.class)
     }
 
     /// The dynamic memory address of node `n`, if it is a load or store.
     pub fn addr(&self, n: u32) -> Option<u64> {
-        let node = &self.nodes[n as usize];
-        match node.class {
-            NodeClass::Load | NodeClass::Store => Some(node.addr),
+        match self.class(n) {
+            NodeClass::Load | NodeClass::Store => Some(self.addrs[n as usize]),
             _ => None,
         }
     }
 
     /// Whether node `n` is a floating-point candidate instance.
     pub fn is_candidate(&self, n: u32) -> bool {
-        self.nodes[n as usize].class == NodeClass::Candidate
+        self.class(n) == NodeClass::Candidate
     }
 
     /// Whether node `n` is a load.
     pub fn is_load(&self, n: u32) -> bool {
-        self.nodes[n as usize].class == NodeClass::Load
+        self.class(n) == NodeClass::Load
     }
 
     /// Whether node `n` carries *data* (a memory access or a floating-point
@@ -291,7 +321,7 @@ impl Ddg {
     /// The Larus-style loop-level baseline orders iterations only on data
     /// flow: induction-variable recurrences are loop control, not data.
     pub fn is_data_node(&self, n: u32) -> bool {
-        !matches!(self.nodes[n as usize].class, NodeClass::Other)
+        self.class(n) != NodeClass::Other
     }
 
     /// Operand writers of node `n` in operand order ([`EXTERNAL`] = none).
@@ -312,7 +342,7 @@ impl Ddg {
 
     /// Indices of candidate (FP arithmetic) nodes in execution order.
     pub fn candidate_nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nodes.len() as u32).filter(|&n| self.is_candidate(n))
+        (0..self.len() as u32).filter(|&n| self.is_candidate(n))
     }
 
     /// Distinct static candidate instructions present, in first-appearance
@@ -343,15 +373,10 @@ impl Ddg {
     /// vector — the stride analysis builds its flat key arenas with this.
     pub fn push_operand_addrs(&self, n: u32, out: &mut Vec<u64>) {
         for &w in self.operand_writers(n) {
-            out.push(if w == EXTERNAL {
-                0
+            out.push(if w != EXTERNAL && self.is_load(w) {
+                self.addrs[w as usize]
             } else {
-                let node = &self.nodes[w as usize];
-                if node.class == NodeClass::Load {
-                    node.addr
-                } else {
-                    0
-                }
+                0
             });
         }
     }
@@ -359,7 +384,13 @@ impl Ddg {
     /// Element size (in bytes) of values flowing into candidate instances of
     /// `inst` — the unit the stride check compares against.
     pub fn elem_size(&self, inst: InstId) -> u64 {
-        self.elem_size.get(&inst).copied().unwrap_or(8)
+        match self.classes.get(inst.index()) {
+            Some(&Some(InstClass {
+                class: NodeClass::Candidate,
+                elem,
+            })) => elem,
+            _ => 8,
+        }
     }
 
     /// Total number of flow edges.
@@ -375,12 +406,12 @@ impl Ddg {
     /// dependence whose distance fits the observed trip count must show up
     /// here, or the DDG dropped an edge.
     pub fn find_flow_edge(&self, source: InstId, sink: InstId) -> Option<(u32, u32)> {
-        for n in 0..self.nodes.len() as u32 {
-            if self.nodes[n as usize].inst != sink {
+        for n in 0..self.len() as u32 {
+            if self.inst(n) != sink {
                 continue;
             }
             for w in self.preds(n) {
-                if self.nodes[w as usize].inst == source {
+                if self.inst(w) == source {
                     return Some((w, n));
                 }
             }
@@ -399,11 +430,14 @@ impl Ddg {
     /// Intended for tests and tools that want to exercise the analyses on
     /// hand-crafted graphs (e.g. property tests on random DAGs). Nodes must
     /// be listed in a topological order: every writer index must be smaller
-    /// than the node's own index (or [`EXTERNAL`]).
+    /// than the node's own index (or [`EXTERNAL`]). Candidates get the
+    /// default element size, 8 bytes.
     ///
     /// # Panics
     ///
-    /// Panics if a writer index is forward-referencing.
+    /// Panics if a writer index is forward-referencing, or if two nodes of
+    /// the same [`InstId`] have different classes (a graph stores one class
+    /// per static instruction); the message names the `InstId`.
     pub fn synthetic(nodes: Vec<SyntheticNode>) -> Ddg {
         let mut out = Ddg::empty();
         for (i, n) in nodes.into_iter().enumerate() {
@@ -413,14 +447,25 @@ impl Ddg {
                     "synthetic node {i} references future writer {w}"
                 );
             }
-            let class = match n.class {
-                SyntheticClass::Load => NodeClass::Load,
-                SyntheticClass::Store => NodeClass::Store,
-                SyntheticClass::Candidate => NodeClass::Candidate,
-                SyntheticClass::Other => NodeClass::Other,
+            let (class, elem) = match n.class {
+                SyntheticClass::Load => (NodeClass::Load, 0),
+                SyntheticClass::Store => (NodeClass::Store, 0),
+                SyntheticClass::Candidate => (NodeClass::Candidate, 8),
+                SyntheticClass::Other => (NodeClass::Other, 0),
             };
+            let class = InstClass { class, elem };
+            let recorded = out.classify(n.inst, || class);
+            assert!(
+                recorded == class,
+                "synthetic node {i} gives instruction #{} the class {:?}, \
+                 but an earlier node gave it {:?}",
+                n.inst.0,
+                class.class,
+                recorded.class
+            );
+            reserve_lean(&mut out.op_writers, n.writers.len());
             out.op_writers.extend_from_slice(&n.writers);
-            out.push_node(n.inst, n.addr, class);
+            out.push_node(n.inst, n.addr);
         }
         out
     }
@@ -469,10 +514,7 @@ impl<'m> DdgBuilder<'m> {
     pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
         DdgBuilder {
             resolver: Resolver::new(module, policy),
-            nodes: NodeSink {
-                ddg: Ddg::empty(),
-                elem_recorded: Vec::new(),
-            },
+            nodes: NodeSink { ddg: Ddg::empty() },
             error: None,
         }
     }
@@ -504,65 +546,70 @@ impl<'m> DdgBuilder<'m> {
 /// which is exactly the node id, so the payload is empty.
 struct NodeSink {
     ddg: Ddg,
-    /// Candidate instructions whose element size is already in the graph,
-    /// by [`InstId`].
-    elem_recorded: Vec<bool>,
 }
 
 impl Ddg {
     fn empty() -> Ddg {
         Ddg {
-            nodes: Vec::new(),
+            insts: Vec::new(),
+            addrs: Vec::new(),
             op_offsets: vec![0],
             op_writers: Vec::new(),
-            elem_size: HashMap::new(),
+            classes: Vec::new(),
         }
     }
 
-    /// Appends a node whose operand writers were pushed onto `op_writers`.
-    fn push_node(&mut self, inst: InstId, addr: u64, class: NodeClass) {
-        self.nodes.push(Node { inst, addr, class });
+    /// The class table entry of `inst`, made from `class` if it has none.
+    fn classify(&mut self, inst: InstId, class: impl FnOnce() -> InstClass) -> InstClass {
+        let i = inst.index();
+        if i >= self.classes.len() {
+            self.classes.resize(i + 1, None);
+        }
+        *self.classes[i].get_or_insert_with(class)
+    }
+
+    /// Appends a node of a classified instruction whose operand writers
+    /// were pushed onto `op_writers`.
+    fn push_node(&mut self, inst: InstId, addr: u64) {
+        reserve_lean(&mut self.insts, 1);
+        reserve_lean(&mut self.addrs, 1);
+        reserve_lean(&mut self.op_offsets, 1);
+        self.insts.push(inst);
+        self.addrs.push(addr);
         self.op_offsets.push(
             u32::try_from(self.op_writers.len()).expect("the resolver bounds operands by u32"),
         );
     }
 }
 
+/// The class of `node`'s instruction.
+fn class_of(node: &NodeEvent<'_>) -> InstClass {
+    let (class, elem) = match (node.op.access, node.op.candidate_elem) {
+        (Access::Load(_), _) => (NodeClass::Load, 0),
+        (Access::Store(_), _) => (NodeClass::Store, 0),
+        (Access::None, Some(elem)) => (NodeClass::Candidate, elem),
+        (Access::None, None) => match node.inst.kind {
+            InstKind::Cast { to, .. } if to.is_float() => (NodeClass::FloatOther, 0),
+            InstKind::Un { ty, .. } | InstKind::Intrin { ty, .. } | InstKind::Bin { ty, .. }
+                if ty.is_float() =>
+            {
+                (NodeClass::FloatOther, 0)
+            }
+            _ => (NodeClass::Other, 0),
+        },
+    };
+    InstClass { class, elem }
+}
+
 impl Handler<()> for NodeSink {
     fn operand(&mut self, writer: Option<&Writer<()>>) {
+        reserve_lean(&mut self.ddg.op_writers, 1);
         self.ddg.op_writers.push(writer.map_or(EXTERNAL, |w| w.seq));
     }
 
     fn node(&mut self, node: NodeEvent<'_>) {
-        let inst = node.inst;
-        let class = match (node.op.access, node.op.candidate_elem) {
-            (Access::Load(_), _) => NodeClass::Load,
-            (Access::Store(_), _) => NodeClass::Store,
-            (Access::None, Some(elem)) => {
-                // Recorded once per instruction, for the stride analysis.
-                let i = inst.id.index();
-                if i >= self.elem_recorded.len() {
-                    self.elem_recorded.resize(i + 1, false);
-                }
-                if !self.elem_recorded[i] {
-                    self.elem_recorded[i] = true;
-                    self.ddg.elem_size.insert(inst.id, elem);
-                }
-                NodeClass::Candidate
-            }
-            (Access::None, None) => match inst.kind {
-                InstKind::Cast { to, .. } if to.is_float() => NodeClass::FloatOther,
-                InstKind::Un { ty, .. }
-                | InstKind::Intrin { ty, .. }
-                | InstKind::Bin { ty, .. }
-                    if ty.is_float() =>
-                {
-                    NodeClass::FloatOther
-                }
-                _ => NodeClass::Other,
-            },
-        };
-        self.ddg.push_node(inst.id, node.addr, class);
+        self.ddg.classify(node.inst.id, || class_of(&node));
+        self.ddg.push_node(node.inst.id, node.addr);
     }
 }
 
@@ -775,6 +822,21 @@ mod tests {
                 assert!(p < n);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction #7")]
+    fn synthetic_rejects_two_classes_for_one_instruction() {
+        let node = |class, writers| SyntheticNode {
+            inst: InstId(7),
+            addr: 0,
+            class,
+            writers,
+        };
+        Ddg::synthetic(vec![
+            node(SyntheticClass::Load, vec![]),
+            node(SyntheticClass::Candidate, vec![0]),
+        ]);
     }
 
     #[test]
