@@ -683,6 +683,28 @@ mod tests {
     }
 
     #[test]
+    fn static_dependence_test_programs_get_their_verdicts() {
+        // The three loops whose dependence evidence `vectorscope-staticdep`
+        // tests (disjoint globals, distance-1 flow, stride-2): the model
+        // vectorizer accepts only the first.
+        let disjoint = single(
+            "const int N = 16; double a[N]; double b[N];\n\
+             void main() { for (int i = 0; i < N; i++) { a[i] = b[i] * 2.0; } }",
+        );
+        assert!(disjoint.vectorized, "{disjoint:?}");
+        let flow = single(
+            "const int N = 16; double a[N];\n\
+             void main() { for (int i = 1; i < N; i++) { a[i] = a[i-1] * 0.5; } }",
+        );
+        assert!(!flow.vectorized, "{flow:?}");
+        let strided = single(
+            "const int N = 16; double a[N]; double b[N];\n\
+             void main() { for (int i = 0; i < 8; i++) { a[2*i] = b[2*i] + 1.0; } }",
+        );
+        assert!(!strided.vectorized, "{strided:?}");
+    }
+
+    #[test]
     fn percent_packed_counts_dynamic_ops() {
         let module = vectorscope_frontend::compile(
             "p.kern",

@@ -3,9 +3,9 @@
 //! Each public function produces the text of one table/figure of the PLDI
 //! 2012 paper, computed from scratch on the in-repo kernel suite. The
 //! `cargo bench` targets (`table1` ... `table4`, `fig1`, `fig2`) print
-//! them; the `micro` target runs Criterion benchmarks of the analysis
-//! itself. `EXPERIMENTS.md` records how each regenerated result compares
-//! with the published one.
+//! them; the `gates` target checks the analyzer's two timing budgets.
+//! `EXPERIMENTS.md` records how each regenerated result compares with the
+//! published one.
 
 #![deny(missing_docs)]
 

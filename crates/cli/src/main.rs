@@ -304,10 +304,11 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
 }
 
 /// Streams a whole run through the bounded-memory engine and reports its
-/// per-phase observability counters, then rebuilds the same run through
-/// the batch pipeline (trace + DDG) for a peak-memory comparison. The
-/// counters live here — never in `vscope analyze` output, whose bytes are
-/// contractually identical between the two engines.
+/// per-phase observability counters, then analyzes the same run through
+/// the batch pipeline (`analyze_program`) for a peak-memory comparison
+/// against the DDG it builds. The counters live here — never in
+/// `vscope analyze` output, whose bytes are contractually identical
+/// between the two engines.
 fn cmd_stats(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("stats: missing <file.kern>")?;
     let source = read_source(path)?;
@@ -316,24 +317,19 @@ fn cmd_stats(rest: &[String]) -> CliResult {
 
     let outcome = vectorscope::stream_program(&module, &options)?;
     let s = &outcome.stats;
-
-    // Batch-pipeline footprint for the same run: the materialized trace
-    // plus the DDG the streaming engine never builds.
-    let mut vm = Vm::new(&module);
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
-    let trace_bytes = trace.approx_bytes();
-    let ddg_bytes = ddg.memory_bytes();
     let streaming_peak = s.peak_resident_bytes();
+    // Batch footprint for the same run: the DDG the streaming engine never
+    // builds, under the same options (candidate policy included).
+    let ddg_bytes = vectorscope::analyze_program(&module, &options)?
+        .ddg
+        .memory_bytes();
 
     if flag(rest, "--json") {
         println!(
             "{{\"events\":{},\"nodes\":{},\"candidate_instances\":{},\"partitions\":{},\
              \"peak_reg_shadow\":{},\"peak_mem_shadow\":{},\"peak_shadow_bytes\":{},\
              \"peak_accumulator_bytes\":{},\"streaming_peak_bytes\":{},\
-             \"batch_ddg_bytes\":{},\"batch_trace_bytes\":{}}}",
+             \"batch_ddg_bytes\":{}}}",
             s.events,
             s.nodes,
             s.candidate_instances,
@@ -344,7 +340,6 @@ fn cmd_stats(rest: &[String]) -> CliResult {
             s.peak_accumulator_bytes,
             streaming_peak,
             ddg_bytes,
-            trace_bytes,
         );
         return Ok(());
     }
@@ -360,12 +355,9 @@ fn cmd_stats(rest: &[String]) -> CliResult {
     println!("  peak resident bytes    {:>14}", streaming_peak);
     println!("batch pipeline for the same run:");
     println!("  DDG bytes              {:>14}", ddg_bytes);
-    println!("  trace bytes            {:>14}", trace_bytes);
-    let denom = ddg_bytes.max(1);
     println!(
-        "streaming peak = {:.1}% of the batch DDG ({:.1}% of DDG + trace)",
-        streaming_peak as f64 * 100.0 / denom as f64,
-        streaming_peak as f64 * 100.0 / (ddg_bytes + trace_bytes).max(1) as f64
+        "streaming peak = {:.1}% of the batch DDG",
+        streaming_peak as f64 * 100.0 / ddg_bytes.max(1) as f64
     );
     Ok(())
 }

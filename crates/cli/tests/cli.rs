@@ -287,3 +287,56 @@ fn ddg_dot_export() {
     assert!(dot.starts_with("digraph ddg {"));
     assert!(dot.contains("shape=box"));
 }
+
+#[test]
+fn stats_compares_streaming_peak_with_the_batch_ddg() {
+    // Enough repeated work that the DDG outgrows the streaming state.
+    let src = r#"
+const int N = 1024;
+double a[N]; double b[N]; double c[N];
+void main() {
+    for (int i = 0; i < N; i++) { a[i] = 1.0; b[i] = 2.0; }
+    for (int t = 0; t < 4; t++)
+        for (int i = 0; i < N; i++) { c[i] = 2.5 * a[i] + b[i]; }
+}
+"#;
+    let path = write_temp("stats.kern", src);
+    let path = path.to_str().unwrap();
+
+    let (out, err, ok) = vscope(&["stats", path]);
+    assert!(ok, "stderr: {err}");
+    for label in ["events consumed", "peak resident bytes", "DDG bytes"] {
+        assert!(out.contains(label), "missing {label:?}: {out}");
+    }
+    assert!(out.contains("% of the batch DDG"), "{out}");
+    assert!(!out.contains("trace bytes"), "{out}");
+
+    let (json, err, ok) = vscope(&["stats", path, "--json"]);
+    assert!(ok, "stderr: {err}");
+    let field = |name: &str| -> u64 {
+        let key = format!("\"{name}\":");
+        let start = json.find(&key).unwrap_or_else(|| panic!("{name}: {json}")) + key.len();
+        let digits: String = json[start..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    for name in [
+        "events",
+        "nodes",
+        "candidate_instances",
+        "partitions",
+        "peak_reg_shadow",
+        "peak_mem_shadow",
+        "peak_shadow_bytes",
+        "peak_accumulator_bytes",
+    ] {
+        let _ = field(name);
+    }
+    assert!(
+        field("batch_ddg_bytes") > field("streaming_peak_bytes"),
+        "{json}"
+    );
+    assert!(!json.contains("trace"), "{json}");
+}

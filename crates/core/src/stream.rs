@@ -37,9 +37,9 @@
 //! instances)`: a returned activation's register frame is recycled, the
 //! memory shadow holds the touched pages plus one payload per written base,
 //! and the accumulators hold one tuple per candidate instance. On the
-//! bundled kernel with the longest trace that is 5.7× below the batch DDG
-//! footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
-//! observability counters (`vscope stats`).
+//! bundled kernel with the longest trace that is 4.9× below the batch DDG
+//! footprint; `tests/streaming.rs` holds it to at most a quarter.
+//! [`StreamStats`] exposes the observability counters (`vscope stats`).
 
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
 use crate::partition::dominance;

@@ -277,8 +277,10 @@ impl Ddg {
     /// columns, the CSR operand arrays and the per-instruction class table,
     /// counted by length. The columns grow by eighths ([`reserve_lean`]),
     /// so their allocated capacity exceeds this figure by at most an eighth
-    /// (or a few thousand slots, for a small graph). This is the batch engine's peak-memory denominator in the
-    /// streaming-vs-batch comparison (`vscope stats`, `BENCH_streaming`).
+    /// (or a few thousand slots, for a small graph). This is the batch
+    /// engine's peak-memory denominator in the streaming-vs-batch
+    /// comparison (`vscope stats` and the memory budget in
+    /// `tests/streaming.rs`).
     pub fn memory_bytes(&self) -> usize {
         self.insts.len() * std::mem::size_of::<InstId>()
             + self.addrs.len() * std::mem::size_of::<u64>()

@@ -240,16 +240,6 @@ pub enum BinKind {
     Or,
 }
 
-impl BinKind {
-    /// Whether this operator yields a boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinKind::Eq | BinKind::Ne | BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge
-        )
-    }
-}
-
 /// Unary operator kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnKind {

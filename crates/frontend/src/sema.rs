@@ -205,11 +205,6 @@ impl TypeTable {
         &self.structs[idx]
     }
 
-    /// Looks up a struct index by name.
-    pub fn struct_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
-
     /// The value of compile-time constant `name`.
     pub fn const_value(&self, name: &str) -> Option<i64> {
         self.consts.get(name).copied()

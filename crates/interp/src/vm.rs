@@ -329,11 +329,6 @@ impl<'m> Vm<'m> {
         &self.mem
     }
 
-    /// Mutable access to memory (for seeding inputs before a run).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Arms trace capture; call before [`Vm::run`].
     ///
     /// Replaces any previously armed captures with this single one. To

@@ -136,11 +136,6 @@ impl<'m> FunctionBuilder<'m> {
         self.current = b;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Whether the current block already ends in a terminator.
     pub fn is_terminated(&self) -> bool {
         self.func.block(self.current).term.is_some()

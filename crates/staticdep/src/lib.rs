@@ -30,7 +30,7 @@
 use std::collections::{HashMap, HashSet};
 
 use vectorscope_autovec::affine::{per_iteration_advance, scan_loop, Access, Base, LoopAccessInfo};
-use vectorscope_autovec::{recurrence_info, LoopDecision, Recurrence};
+use vectorscope_autovec::{recurrence_info, Recurrence};
 use vectorscope_ir::loops::{Loop, LoopForest, LoopId};
 use vectorscope_ir::{FuncId, Function, Inst, InstId, InstKind, Module, RegId, Value};
 
@@ -307,9 +307,6 @@ pub struct LoopDep {
     /// Sound per-candidate serialization bounds (computed only on exact
     /// loops).
     pub bounds: Vec<StmtBound>,
-    /// The model vectorizer's verdict for the same loop, embedded so
-    /// consumers get decision and evidence from one call.
-    pub decision: LoopDecision,
 }
 
 impl LoopDep {
@@ -373,19 +370,18 @@ pub fn analyze_module(module: &Module) -> Vec<LoopDep> {
 pub fn analyze_function(module: &Module, func: FuncId) -> Vec<LoopDep> {
     let function = module.function(func);
     let forest = LoopForest::new(function);
-    let decisions = vectorscope_autovec::analyze_function(module, func);
     forest
         .iter()
-        .zip(decisions)
-        .map(|((loop_id, l), decision)| analyze_one(function, &forest, func, loop_id, l, decision))
+        .map(|(loop_id, l)| analyze_one(function, &forest, func, loop_id, l))
         .collect()
 }
 
 /// Analyzes a single loop, identified by function and loop id.
 pub fn analyze_loop(module: &Module, func: FuncId, loop_id: LoopId) -> Option<LoopDep> {
-    analyze_function(module, func)
-        .into_iter()
-        .find(|d| d.loop_id == loop_id)
+    let function = module.function(func);
+    let forest = LoopForest::new(function);
+    let l = forest.loops().get(loop_id.index())?;
+    Some(analyze_one(function, &forest, func, loop_id, l))
 }
 
 fn analyze_one(
@@ -394,7 +390,6 @@ fn analyze_one(
     func: FuncId,
     loop_id: LoopId,
     l: &Loop,
-    decision: LoopDecision,
 ) -> LoopDep {
     let line = forest.span_of(function, loop_id).line;
     if !l.is_innermost() {
@@ -408,7 +403,6 @@ fn analyze_one(
             pairs: Vec::new(),
             strides: Vec::new(),
             bounds: Vec::new(),
-            decision,
         };
     }
 
@@ -520,7 +514,6 @@ fn analyze_one(
         pairs,
         strides,
         bounds,
-        decision,
     }
 }
 
@@ -1139,7 +1132,6 @@ mod tests {
         assert_eq!(deps.len(), 1);
         let d = &deps[0];
         assert!(d.exact, "limits: {:?}", d.limits);
-        assert!(d.decision.vectorized);
         assert!(d
             .pairs
             .iter()
@@ -1158,7 +1150,6 @@ mod tests {
         assert_eq!(deps.len(), 1);
         let d = &deps[0];
         assert!(d.exact);
-        assert!(!d.decision.vectorized);
         let proven: Vec<&DepVector> = d
             .pairs
             .iter()
@@ -1218,6 +1209,23 @@ mod tests {
     }
 
     #[test]
+    fn analyze_loop_matches_the_function_wide_analysis() {
+        let m = compile(
+            "const int N = 16; double a[N][N];\n\
+             void main() { for (int i = 1; i < N; i++) {\n\
+               for (int j = 0; j < N; j++) { a[i][j] = a[i-1][j] * 0.5; } } }",
+        );
+        let main = m.lookup_function("main").unwrap();
+        let all = analyze_function(&m, main);
+        assert_eq!(all.len(), 2);
+        for d in &all {
+            let one = analyze_loop(&m, main, d.loop_id).expect("loop exists");
+            assert_eq!(format!("{one:?}"), format!("{d:?}"));
+        }
+        assert!(analyze_loop(&m, main, LoopId(2)).is_none());
+    }
+
+    #[test]
     fn indirection_is_classified() {
         let m = compile(
             "const int N = 16; double a[N]; double b[N]; int idx[N];\n\
@@ -1241,7 +1249,6 @@ mod tests {
             .strides
             .iter()
             .all(|s| s.class == StrideClass::NonUnit(16)));
-        assert!(!d.decision.vectorized);
     }
 
     #[test]

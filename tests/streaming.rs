@@ -6,8 +6,9 @@
 //! ([`analyze_ddg`] over the DDG of the same events), at every thread
 //! count. These tests enforce that over every hot-loop sub-trace the driver
 //! captures for the bundled kernels and the golden snapshots, over
-//! whole-program runs of proptest-generated random programs, and pin the
-//! overlapping-store dependence fix in *both* engines.
+//! whole-program runs of proptest-generated random programs, pin the
+//! overlapping-store dependence fix in *both* engines, and hold the engine
+//! to its memory budget against the batch DDG.
 
 use proptest::prelude::*;
 use vectorscope::json::suite_json;
@@ -243,6 +244,37 @@ fn stream_program_matches_analyze_program() {
         let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
         assert_stream_program_matches(&name, &module, 1);
     }
+}
+
+/// The streaming engine's memory budget. Its peak resident state scales
+/// with live program state and candidate instances, not with trace length,
+/// so on the bundled kernel with the longest whole-program trace it must
+/// stay at most 25% of the batch DDG (a ≥ 4× reduction). Both sides are the
+/// engines' own byte counts, which are deterministic.
+#[test]
+fn streaming_peak_is_at_most_a_quarter_of_the_batch_ddg() {
+    let kernel = vectorscope_kernels::all_kernels()
+        .into_iter()
+        .find(|k| k.file_name() == "spec_434_zeusmp.kern")
+        .expect("spec_434_zeusmp is bundled");
+    let module = kernel.compile().unwrap();
+    let options = AnalysisOptions {
+        threads: 1,
+        ..AnalysisOptions::default()
+    };
+    let ddg_bytes = analyze_program(&module, &options)
+        .unwrap()
+        .ddg
+        .memory_bytes();
+    let streaming_peak = stream_program(&module, &options)
+        .unwrap()
+        .stats
+        .peak_resident_bytes();
+    println!("streaming peak {streaming_peak} B vs batch DDG {ddg_bytes} B");
+    assert!(
+        streaming_peak <= ddg_bytes / 4,
+        "streaming peak ({streaming_peak} B) must be at most 25% of the batch DDG ({ddg_bytes} B)"
+    );
 }
 
 /// Regression test for the overlapping-store dependence bug, pinned in
