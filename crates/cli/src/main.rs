@@ -393,16 +393,28 @@ fn cmd_profile(rest: &[String]) -> CliResult {
     // wall-clock phase breakdown is opt-in behind `--phases`.
     if flag(rest, "--phases") {
         drop(vm);
+        // The capture run feeds the DDG builder through the VM's event
+        // sink, as `analyze_program` does: no trace is buffered.
         let t2 = std::time::Instant::now();
+        let builder = std::rc::Rc::new(std::cell::RefCell::new(vectorscope_ddg::DdgBuilder::new(
+            &module,
+            vectorscope::CandidatePolicy::FloatArith,
+        )));
+        let sink = std::rc::Rc::clone(&builder);
         let mut cap_vm = Vm::new(&module);
-        cap_vm.set_capture(CaptureSpec::Program, path);
+        cap_vm.add_sink(
+            CaptureSpec::Program,
+            Box::new(move |e| sink.borrow_mut().push(e)),
+        );
         cap_vm.run_main()?;
-        let trace = cap_vm.take_trace().expect("capture armed");
-        let trace_time = t2.elapsed();
+        drop(cap_vm); // releases the sink's reference to the builder
+        let ddg = std::rc::Rc::try_unwrap(builder)
+            .ok()
+            .expect("the sink was dropped with the VM")
+            .into_inner()
+            .finish()?;
+        let capture_time = t2.elapsed();
         let t3 = std::time::Instant::now();
-        let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
-        let ddg_time = t3.elapsed();
-        let t4 = std::time::Instant::now();
         let _ = vectorscope::metrics::analyze_ddg(
             &module,
             &ddg,
@@ -411,27 +423,23 @@ fn cmd_profile(rest: &[String]) -> CliResult {
                 threads: 1,
             },
         );
-        let analysis_time = t4.elapsed();
+        let analysis_time = t3.elapsed();
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!("phase breakdown (wall clock):");
         println!(
-            "  decode    {:>10.3} ms  (VM construction incl. bytecode pre-decode)",
+            "  decode       {:>10.3} ms  (VM construction incl. bytecode pre-decode)",
             ms(decode_time)
         );
         println!(
-            "  execute   {:>10.3} ms  (profiling run, no capture)",
+            "  execute      {:>10.3} ms  (profiling run, no capture)",
             ms(execute_time)
         );
         println!(
-            "  trace     {:>10.3} ms  (capture run incl. event buffering)",
-            ms(trace_time)
+            "  capture+ddg  {:>10.3} ms  (capture run building the dependence graph)",
+            ms(capture_time)
         );
         println!(
-            "  ddg       {:>10.3} ms  (dependence-graph construction)",
-            ms(ddg_time)
-        );
-        println!(
-            "  analysis  {:>10.3} ms  (partitioning + stride stages)",
+            "  analysis     {:>10.3} ms  (partitioning + stride stages)",
             ms(analysis_time)
         );
     }

@@ -150,6 +150,22 @@ fn profile_lists_loops() {
     assert!(out.contains("main:"), "{out}");
 }
 
+/// `--phases` times the pipeline the analyzer runs: the capture run feeds
+/// the DDG builder through the VM sink, so no phase buffers a trace.
+#[test]
+fn profile_phases_time_the_sink_built_pipeline() {
+    let path = write_temp("saxpy_phases.kern", SAXPY);
+    let (out, err, ok) = vscope(&["profile", path.to_str().unwrap(), "--phases"]);
+    assert!(ok, "{err}");
+    for phase in ["decode", "execute", "capture+ddg", "analysis"] {
+        assert!(
+            out.lines().any(|l| l.trim_start().starts_with(phase)),
+            "missing phase {phase}: {out}"
+        );
+    }
+    assert!(!out.contains("event buffering"), "{out}");
+}
+
 #[test]
 fn vectorize_reports_decisions() {
     let path = write_temp("saxpy3.kern", SAXPY);

@@ -48,6 +48,13 @@ pub enum Error {
         /// The memory instruction of the offending event.
         inst: InstId,
     },
+    /// An instruction instance of the captured region has more than 255
+    /// operands, more than a DDG node holds (see
+    /// [`vectorscope_ddg::BuildError::TooManyOperands`]).
+    TooManyOperands {
+        /// The offending instruction.
+        inst: InstId,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -67,6 +74,9 @@ impl std::fmt::Display for Error {
             Error::MissingAddress { inst } => {
                 write!(f, "{}", BuildError::MissingAddress { inst: *inst })
             }
+            Error::TooManyOperands { inst } => {
+                write!(f, "{}", BuildError::TooManyOperands { inst: *inst })
+            }
         }
     }
 }
@@ -79,7 +89,8 @@ impl std::error::Error for Error {
             Error::EmptyTrace { .. }
             | Error::TraceUnavailable { .. }
             | Error::TraceTooLarge { .. }
-            | Error::MissingAddress { .. } => None,
+            | Error::MissingAddress { .. }
+            | Error::TooManyOperands { .. } => None,
         }
     }
 }
@@ -101,6 +112,7 @@ impl From<BuildError> for Error {
         match e {
             BuildError::TraceTooLarge { nodes } => Error::TraceTooLarge { nodes },
             BuildError::MissingAddress { inst } => Error::MissingAddress { inst },
+            BuildError::TooManyOperands { inst } => Error::TooManyOperands { inst },
         }
     }
 }
@@ -237,8 +249,9 @@ pub struct ProgramAnalysis {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Vm`] if execution fails, and [`Error::TraceTooLarge`]
-/// or [`Error::MissingAddress`] if the run cannot be built into a DDG.
+/// Returns [`Error::Vm`] if execution fails, and [`Error::TraceTooLarge`],
+/// [`Error::MissingAddress`] or [`Error::TooManyOperands`] if the run
+/// cannot be built into a DDG.
 pub fn analyze_program(
     module: &Module,
     options: &AnalysisOptions,

@@ -18,11 +18,11 @@
 //! and is attached to reports by the caller, mirroring how the paper takes
 //! that column from HPCToolkit measurements of icc-compiled binaries.
 
-use crate::partition::partition_all;
+use crate::partition::timestamp_rows;
 use crate::reduction::reduction_chains;
-use crate::stride::{analyze_partition, StrideReport};
+use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
 use std::collections::HashSet;
-use vectorscope_ddg::Ddg;
+use vectorscope_ddg::{reserve_lean, Ddg};
 use vectorscope_ir::{InstId, Module, Span};
 
 /// Metrics for one static candidate instruction.
@@ -146,33 +146,63 @@ pub struct MetricOptions {
     pub threads: usize,
 }
 
-/// One candidate instruction's partitioning outcome plus its per-partition
-/// stride reports, ready for aggregation — the engine-neutral handoff into
-/// [`assemble`].
+/// One candidate instruction's partitions as operand address tuples — the
+/// engine-neutral handoff into [`analyze_lanes`].
 ///
 /// Both the batch engine ([`analyze_ddg`]) and the streaming engine
-/// (`crate::stream`) reduce their work to a `Vec<LaneOutcome>` in candidate
-/// first-appearance order, so the aggregation arithmetic (and therefore
-/// every float in the report) lives in exactly one place.
-pub(crate) struct LaneOutcome {
+/// (`crate::stream`) reduce their work to a `Vec<LaneTuples>` in candidate
+/// first-appearance order, so the stride fan-out and the aggregation
+/// arithmetic (and therefore every float in the report) live in exactly one
+/// place.
+pub(crate) struct LaneTuples {
     pub inst: InstId,
-    pub span: Span,
-    pub instances: u64,
-    pub partitions: u64,
-    pub avg_partition_size: f64,
+    /// Element size of the instruction's operands, the unit stride.
+    pub elem: u64,
+    /// Addresses per tuple: the instruction's operand count.
+    pub arity: usize,
     pub reduction: bool,
-    /// One report per partition, in timestamp order.
-    pub reports: Vec<StrideReport>,
+    /// `groups[t - 1]` holds the tuples of the partition with timestamp
+    /// `t`, concatenated in execution order, `arity` addresses each.
+    pub groups: Vec<Vec<u64>>,
 }
 
-/// Aggregates per-candidate outcomes into the paper's table metrics.
+impl LaneTuples {
+    fn instances(&self, g: usize) -> usize {
+        self.groups[g].len() / self.arity.max(1)
+    }
+}
+
+/// Runs the §3.2/§3.3 stride stages on every partition of every lane and
+/// aggregates the paper's table metrics — the back end both engines share.
+///
+/// Each (lane, partition) pair is an independent sort + wait-list scan
+/// over its own tuple arena, so the shards fan across `threads` workers;
+/// `par_map` hands results back in shard order. The payloads are
+/// within-partition indices: unique and in execution order, which is all
+/// the subpartition structure depends on.
 ///
 /// This is the single source of truth for the report arithmetic: per-lane
 /// totals accumulate in lane order, `per_inst` is stably sorted by instance
 /// count (descending), and every ratio is computed from `u64` totals — so
-/// two engines that produce equal `LaneOutcome`s produce byte-identical
-/// reports.
-pub(crate) fn assemble(lanes: Vec<LaneOutcome>) -> (LoopMetrics, Vec<InstMetrics>) {
+/// the report is byte-identical at every thread count and for both engines.
+pub(crate) fn analyze_lanes(
+    module: &Module,
+    lanes: &[LaneTuples],
+    threads: usize,
+) -> (LoopMetrics, Vec<InstMetrics>) {
+    let shards: Vec<(usize, usize)> = lanes
+        .iter()
+        .enumerate()
+        .flat_map(|(l, lane)| (0..lane.groups.len()).map(move |g| (l, g)))
+        .collect();
+    let reports: Vec<StrideReport> = rayon_lite::par_map(threads, &shards, |_, &(l, g)| {
+        let lane = &lanes[l];
+        let payloads = (0..lane.instances(g) as u32).collect();
+        let tuples = SortedTuples::from_flat(&lane.groups[g], payloads, lane.arity);
+        analyze_sorted_tuples(&tuples, lane.elem)
+    });
+    let mut reports = reports.iter();
+
     let mut per_inst = Vec::new();
     let mut vec_lengths = VecLengthHistogram::default();
     let mut total_ops = 0u64;
@@ -183,19 +213,25 @@ pub(crate) fn assemble(lanes: Vec<LaneOutcome>) -> (LoopMetrics, Vec<InstMetrics
     let mut non_unit_subparts = 0u64;
 
     for lane in lanes {
+        let partitions = lane.groups.len();
+        let instances: usize = (0..partitions).map(|g| lane.instances(g)).sum();
         let mut m = InstMetrics {
             inst: lane.inst,
-            span: lane.span,
-            instances: lane.instances,
-            partitions: lane.partitions,
-            avg_partition_size: lane.avg_partition_size,
+            span: module.span_of(lane.inst),
+            instances: instances as u64,
+            partitions: partitions as u64,
+            avg_partition_size: if partitions == 0 {
+                0.0
+            } else {
+                instances as f64 / partitions as f64
+            },
             unit_ops: 0,
             unit_subparts: 0,
             non_unit_ops: 0,
             non_unit_subparts: 0,
             reduction: lane.reduction,
         };
-        for report in &lane.reports {
+        for report in reports.by_ref().take(partitions) {
             m.unit_ops += report.unit_ops() as u64;
             m.unit_subparts += report.unit.len() as u64;
             m.non_unit_ops += report.non_unit_ops() as u64;
@@ -249,7 +285,11 @@ pub(crate) fn assemble(lanes: Vec<LaneOutcome>) -> (LoopMetrics, Vec<InstMetrics
 /// paper's table metrics.
 ///
 /// Returns the aggregate row plus the per-instruction breakdown (sorted by
-/// instance count, descending).
+/// instance count, descending). The graph is read in two forward walks:
+/// Algorithm 1 for every candidate at once, then, with the timestamp rows
+/// freed, the gather of each instance's operand address tuple into its
+/// partition's arena. The instances of one static instruction must share an
+/// operand count, as they do in every trace-built graph.
 pub fn analyze_ddg(
     module: &Module,
     ddg: &Ddg,
@@ -262,8 +302,6 @@ pub fn analyze_ddg(
     };
     let empty: HashSet<u32> = HashSet::new();
 
-    // One fused forward scan partitions every candidate at once (the old
-    // code re-ran the full Algorithm 1 scan per candidate instruction).
     let insts = ddg.candidate_insts();
     let chains: Vec<Option<&crate::reduction::ReductionChain>> = insts
         .iter()
@@ -273,45 +311,68 @@ pub fn analyze_ddg(
         .iter()
         .map(|chain| chain.map(|c| &c.chain_nodes).unwrap_or(&empty))
         .collect();
-    let all_parts = partition_all(ddg, &insts, &ignores);
 
-    // The stride stage is the hot path and embarrassingly parallel: each
-    // (candidate, partition) pair is an independent sort + waitlist scan.
-    // Fan the shards across the work pool; `par_map` hands results back in
-    // shard order, so the aggregation below is byte-identical to the
-    // sequential engine at every thread count.
-    let elems: Vec<u64> = insts.iter().map(|&inst| ddg.elem_size(inst)).collect();
-    let shards: Vec<(usize, usize)> = all_parts
-        .iter()
-        .enumerate()
-        .flat_map(|(c, parts)| (0..parts.groups.len()).map(move |g| (c, g)))
-        .collect();
-    let stride_reports: Vec<StrideReport> =
-        rayon_lite::par_map(options.threads, &shards, |_, &(c, g)| {
-            analyze_partition(ddg, &all_parts[c].groups[g], elems[c])
-        });
-    let mut stride_reports = stride_reports.into_iter();
+    // Walk 1: every candidate instance's timestamp, in execution order
+    // (`insts` are distinct, so each candidate node is one instance), and
+    // each partition's size.
+    let mut stamps: Vec<u32> = Vec::new();
+    let mut sizes: Vec<Vec<u32>> = vec![Vec::new(); insts.len()];
+    timestamp_rows(ddg, &insts, &ignores, |lane, _, t| {
+        let s = &mut sizes[lane];
+        if s.len() < t as usize {
+            s.resize(t as usize, 0);
+        }
+        s[t as usize - 1] += 1;
+        reserve_lean(&mut stamps, 1);
+        stamps.push(t);
+    });
 
-    let lanes: Vec<LaneOutcome> = all_parts
+    // Walk 2: append each instance's tuple to its partition's arena, sized
+    // exactly at the first instance.
+    let mut lane_of = vec![u32::MAX; insts.iter().map(|i| i.index() + 1).max().unwrap_or(0)];
+    for (l, inst) in insts.iter().enumerate() {
+        lane_of[inst.index()] = l as u32;
+    }
+    let mut lanes: Vec<LaneTuples> = insts
         .iter()
-        .zip(chains)
-        .map(|(parts, chain)| LaneOutcome {
-            inst: parts.inst,
-            span: module.span_of(parts.inst),
-            instances: parts.num_instances() as u64,
-            partitions: parts.groups.len() as u64,
-            avg_partition_size: parts.average_size(),
+        .zip(&chains)
+        .zip(&sizes)
+        .map(|((&inst, chain), sizes)| LaneTuples {
+            inst,
+            elem: ddg.elem_size(inst),
+            arity: 0,
             reduction: chain.is_some(),
-            reports: (0..parts.groups.len())
-                .map(|_| {
-                    stride_reports
-                        .next()
-                        .expect("one stride report per (candidate, partition) shard")
-                })
-                .collect(),
+            groups: vec![Vec::new(); sizes.len()],
         })
         .collect();
-    assemble(lanes)
+    let mut stamps = stamps.into_iter();
+    for (n, writers) in (0..ddg.len() as u32).zip(ddg.operand_rows()) {
+        if !ddg.is_candidate(n) {
+            continue;
+        }
+        let l = lane_of[ddg.inst(n).index()] as usize;
+        let t = stamps.next().expect("one timestamp per candidate instance") as usize;
+        let lane = &mut lanes[l];
+        // An instruction without operands keeps one zero address per
+        // instance, so its instances are still counted.
+        let arity = writers.len().max(1);
+        if lane.arity == 0 {
+            lane.arity = arity;
+        }
+        debug_assert_eq!(
+            lane.arity, arity,
+            "instances of one static instruction must share an operand count"
+        );
+        let keys = &mut lane.groups[t - 1];
+        if keys.capacity() == 0 {
+            keys.reserve_exact(sizes[l][t - 1] as usize * arity);
+        }
+        keys.extend(writers.iter().map(|&w| ddg.load_addr(w)));
+        if writers.is_empty() {
+            keys.push(0);
+        }
+    }
+    analyze_lanes(module, &lanes, options.threads)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! the metrics layer fans across workers for the stride stage.
 
 use std::collections::HashSet;
-use vectorscope_ddg::{reserve_lean, Ddg};
+use vectorscope_ddg::{reserve_lean, Ddg, EXTERNAL};
 use vectorscope_ir::InstId;
 
 /// Parallel partitions of one static instruction's dynamic instances.
@@ -102,10 +102,10 @@ impl Partitions {
 pub fn partition(ddg: &Ddg, inst: InstId, ignore_self_deps: &HashSet<u32>) -> Partitions {
     let mut ts = vec![0u32; ddg.len()];
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    for n in 0..ddg.len() as u32 {
+    for (n, writers) in (0..ddg.len() as u32).zip(ddg.operand_rows()) {
         let mut t = 0;
-        for p in ddg.preds(n) {
-            if ignore_self_deps.contains(&p) {
+        for &p in writers {
+            if p == EXTERNAL || ignore_self_deps.contains(&p) {
                 continue;
             }
             t = t.max(ts[p as usize]);
@@ -154,7 +154,19 @@ pub fn partition_all(
     insts: &[InstId],
     ignore_sets: &[&HashSet<u32>],
 ) -> Vec<Partitions> {
-    timestamp_rows(ddg, insts, ignore_sets).0
+    let mut groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); insts.len()];
+    timestamp_rows(ddg, insts, ignore_sets, |lane, node, t| {
+        let g = &mut groups[lane];
+        if g.len() < t as usize {
+            g.resize_with(t as usize, Vec::new);
+        }
+        g[t as usize - 1].push(node);
+    });
+    insts
+        .iter()
+        .zip(groups)
+        .map(|(&inst, groups)| Partitions { inst, groups })
+        .collect()
 }
 
 /// No lane / no row.
@@ -177,13 +189,16 @@ fn row(rows: &[u32], r: u32, k: usize) -> &[u32] {
     &rows[r as usize * k..][..k]
 }
 
-/// [`partition_all`], also returning how many timestamp rows it allocated
-/// (row 0 included).
-fn timestamp_rows(
+/// The forward scan behind [`partition_all`]: reports every instance of a
+/// lane as `instance(lane, node, timestamp)`, in execution order, and
+/// returns how many timestamp rows it allocated (row 0 included). The row
+/// scratch is freed when it returns.
+pub(crate) fn timestamp_rows(
     ddg: &Ddg,
     insts: &[InstId],
     ignore_sets: &[&HashSet<u32>],
-) -> (Vec<Partitions>, usize) {
+    mut instance: impl FnMut(usize, u32, u32),
+) -> usize {
     assert!(
         ignore_sets.is_empty() || ignore_sets.len() == insts.len(),
         "ignore_sets must be empty or match insts ({} vs {})",
@@ -192,7 +207,7 @@ fn timestamp_rows(
     );
     let k = insts.len();
     if k == 0 {
-        return (Vec::new(), 0);
+        return 0;
     }
     // Lanes per tracked instruction, by `InstId`: the first lane, then
     // `next_lane` chains duplicate entries of `insts`, each of which gets
@@ -214,13 +229,15 @@ fn timestamp_rows(
     // `rows[r * k + j]` is lane j of row r; `row_of[n]` is node n's row.
     let mut rows = vec![0u32; k];
     let mut row_of: Vec<u32> = Vec::with_capacity(v);
-    let mut groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); k];
     let mut cur = vec![0u32; k];
-    for n in 0..v as u32 {
+    for (n, writers) in (0..v as u32).zip(ddg.operand_rows()) {
         // The node's row so far: row `fwd` while it equals one predecessor
         // row, else (`fwd == NONE`) the true merge held in `cur`.
         let mut fwd = 0u32;
-        for p in ddg.preds(n) {
+        for &p in writers {
+            if p == EXTERNAL {
+                continue;
+            }
             let r = row_of[p as usize];
             if r == 0 || r == fwd {
                 continue;
@@ -277,12 +294,7 @@ fn timestamp_rows(
         while lane != NONE {
             let j = lane as usize;
             cur[j] += 1;
-            let idx = (cur[j] - 1) as usize;
-            let g = &mut groups[j];
-            if g.len() <= idx {
-                g.resize_with(idx + 1, Vec::new);
-            }
-            g[idx].push(n);
+            instance(j, n, cur[j]);
             lane = next_lane[j];
         }
         if fwd == NONE {
@@ -292,12 +304,7 @@ fn timestamp_rows(
         }
         row_of.push(fwd);
     }
-    let parts = insts
-        .iter()
-        .zip(groups)
-        .map(|(&inst, groups)| Partitions { inst, groups })
-        .collect();
-    (parts, rows.len() / k)
+    rows.len() / k
 }
 
 #[cfg(test)]
@@ -627,7 +634,8 @@ mod tests {
         ]);
         let ignore_a: HashSet<u32> = [5].into();
         let none = HashSet::new();
-        let (parts, rows) = timestamp_rows(&ddg, &[a, b], &[&ignore_a, &none]);
+        let parts = partition_all(&ddg, &[a, b], &[&ignore_a, &none]);
+        let rows = timestamp_rows(&ddg, &[a, b], &[&ignore_a, &none], |_, _, _| {});
         assert_eq!(parts[0].groups, vec![vec![0, 6], vec![3], vec![10]]);
         assert_eq!(parts[1].groups, vec![vec![4], vec![7]]);
         assert_eq!(parts[0], partition(&ddg, a, &ignore_a));

@@ -15,11 +15,12 @@
 //!   memory by the number of **live** locations, not executed instructions.
 //! * **The §3.2/§3.3 stride scans** consume only each instance's operand
 //!   *address tuple* and its partition. Subpartition structure is a
-//!   function of the sorted tuple sequence alone: both engines sort with
-//!   unique, execution-ordered tie-breakers (batch: node ids; streaming:
-//!   within-partition indices), so a per-(candidate, timestamp) accumulator
-//!   of raw tuples reproduces the batch group sizes exactly — node ids
-//!   never leave the engine, so they are not needed.
+//!   function of the sorted tuple sequence alone, sorted with unique,
+//!   execution-ordered tie-breakers (within-partition indices), so a
+//!   per-(candidate, timestamp) accumulator of raw tuples filled in
+//!   execution order is all the stride stage needs. The batch engine fills
+//!   the same accumulators from its DDG, and both hand them to one shared
+//!   back end.
 //!
 //! [`StreamingAnalyzer::consume`] is the push-style endpoint the VM's
 //! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time. It
@@ -29,21 +30,20 @@
 //! as the writer payload instead of nothing. A writer's lanes are a shared
 //! row: an instance that only forwards one operand's row holds that same
 //! row, and only candidate instances and true merges make a new one.
-//! [`StreamingAnalyzer::finish`] then runs the shared stride core and the
-//! shared metrics assembler, producing reports **byte-identical** to
+//! [`StreamingAnalyzer::finish`] then runs the shared stride back end,
+//! producing reports **byte-identical** to
 //! [`crate::metrics::analyze_ddg`] over the batch DDG of the same event stream.
 //!
 //! Peak resident state is `O(live frames + live cells + candidate
 //! instances)`: a returned activation's register frame is recycled, the
 //! memory shadow holds the touched pages plus one payload per written base,
 //! and the accumulators hold one tuple per candidate instance. On the
-//! bundled kernel with the longest trace that is 4.9× below the batch DDG
+//! bundled kernel with the longest trace that is 4.2× below the batch DDG
 //! footprint; `tests/streaming.rs` holds it to at most a quarter.
 //! [`StreamStats`] exposes the observability counters (`vscope stats`).
 
-use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
+use crate::metrics::{analyze_lanes, InstMetrics, LaneTuples, LoopMetrics, MetricOptions};
 use crate::partition::dominance;
-use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
 use std::mem::size_of;
 use std::sync::Arc;
 use vectorscope_ddg::resolve::{Access, Handler, NodeEvent, Payload, Resolver, Writer};
@@ -148,16 +148,12 @@ struct Partitioner {
     // loses nothing and reproduces `Ddg::candidate_insts` order).
     /// Lane of each candidate instruction, indexed by `InstId`.
     lane_of: Vec<u32>,
-    lane_insts: Vec<InstId>,
-    lane_elem: Vec<u64>,
-    /// Operand count of each lane's static instruction (fixed per lane —
-    /// candidates are binary arithmetic), making the accumulators flat.
-    lane_arity: Vec<usize>,
-    /// `accum[lane][timestamp - 1]` collects the operand address tuples of
-    /// that partition's instances, concatenated in execution order with
-    /// stride `lane_arity[lane]` — 8 bytes per operand, no per-instance
-    /// allocation or header.
-    accum: Vec<Vec<Vec<u64>>>,
+    /// Each lane's accumulators: `groups[timestamp - 1]` collects the
+    /// operand address tuples of that partition's instances, concatenated
+    /// in execution order — 8 bytes per operand, no per-instance
+    /// allocation or header. A lane's arity is fixed (candidates are binary
+    /// arithmetic), which makes the accumulators flat.
+    accum: Vec<LaneTuples>,
     accum_bytes: usize,
 
     // --- the pending instance: the max over its operand writers' rows.
@@ -222,15 +218,18 @@ impl Partitioner {
             self.lane_of.resize(i + 1, NO_LANE);
         }
         if self.lane_of[i] == NO_LANE {
-            self.lane_of[i] = self.lane_insts.len() as u32;
-            self.lane_insts.push(inst);
-            self.lane_elem.push(elem);
-            self.lane_arity.push(self.tuple.len());
-            self.accum.push(Vec::new());
+            self.lane_of[i] = self.accum.len() as u32;
+            self.accum.push(LaneTuples {
+                inst,
+                elem,
+                arity: self.tuple.len(),
+                reduction: false,
+                groups: Vec::new(),
+            });
         }
         let lane = self.lane_of[i] as usize;
         debug_assert_eq!(
-            self.lane_arity[lane],
+            self.accum[lane].arity,
             self.tuple.len(),
             "a static instruction's operand count is fixed"
         );
@@ -239,7 +238,7 @@ impl Partitioner {
             self.lanes.resize(lane + 1, 0);
         }
         self.lanes[lane] = t as u32;
-        let groups = &mut self.accum[lane];
+        let groups = &mut self.accum[lane].groups;
         if groups.len() < t {
             self.accum_bytes += (t - groups.len()) * size_of::<Vec<u64>>();
             groups.resize_with(t, Vec::new);
@@ -345,62 +344,14 @@ impl<'m> StreamingAnalyzer<'m> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let p = &self.partitioner;
-        let shards: Vec<(usize, usize)> = p
-            .accum
-            .iter()
-            .enumerate()
-            .flat_map(|(l, gs)| (0..gs.len()).map(move |g| (l, g)))
-            .collect();
-        // Same fan-out discipline as `analyze_ddg`: results return in shard
-        // order, so aggregation is byte-identical at every thread count.
-        let reports: Vec<StrideReport> =
-            rayon_lite::par_map(options.threads, &shards, |_, &(l, g)| {
-                // The accumulator is already the flat key arena the stride
-                // core wants; payload = within-partition index, unique and
-                // in execution order, so the arena sort orders by tuple
-                // exactly like the batch engine's (tuple, node id) sort.
-                let arity = p.lane_arity[l];
-                let instances = (p.accum[l][g].len() / arity.max(1)) as u32;
-                let tuples =
-                    SortedTuples::from_flat(&p.accum[l][g], (0..instances).collect(), arity);
-                analyze_sorted_tuples(&tuples, p.lane_elem[l])
-            });
-        let mut reports = reports.into_iter();
-        let lanes: Vec<LaneOutcome> = p
-            .lane_insts
-            .iter()
-            .zip(p.accum.iter().zip(&p.lane_arity))
-            .map(|(&inst, (groups, &arity))| {
-                let instances: usize = groups.iter().map(|g| g.len() / arity).sum();
-                LaneOutcome {
-                    inst,
-                    span: self.module.span_of(inst),
-                    instances: instances as u64,
-                    partitions: groups.len() as u64,
-                    avg_partition_size: if groups.is_empty() {
-                        0.0
-                    } else {
-                        instances as f64 / groups.len() as f64
-                    },
-                    reduction: false,
-                    reports: (0..groups.len())
-                        .map(|_| {
-                            reports
-                                .next()
-                                .expect("one stride report per (lane, partition) shard")
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
+        let (metrics, per_inst) =
+            analyze_lanes(self.module, &self.partitioner.accum, options.threads);
         let stats = StreamStats {
             nodes: self.resolver.nodes() as u64,
-            candidate_instances: lanes.iter().map(|l| l.instances).sum(),
-            partitions: lanes.iter().map(|l| l.partitions).sum(),
+            candidate_instances: per_inst.iter().map(|m| m.instances).sum(),
+            partitions: per_inst.iter().map(|m| m.partitions).sum(),
             ..self.stats
         };
-        let (metrics, per_inst) = assemble(lanes);
         Ok(StreamOutcome {
             metrics,
             per_inst,

@@ -17,11 +17,16 @@
 //! unlock vectorization — the basis of the milc and bwaves case studies.
 //!
 //! This module is the engine's hot path and its **parallel shard unit**:
-//! [`analyze_partition`] is a pure function of one partition (it reads the
-//! shared DDG, owns all its scratch, and mutates nothing), so the metrics
-//! layer fans (candidate, partition) shards across worker threads and the
-//! result is bit-identical at any thread count. Keep it pure — a cache or
-//! shared scratch buffer added here would silently break that contract.
+//! the stride stages of one partition are a pure function of that
+//! partition's sorted tuple arena. Both engines gather the arenas in
+//! execution order before the stage runs, so a shard never reads the DDG,
+//! owns all its scratch and mutates nothing; the metrics layer fans
+//! (candidate, partition) shards across worker threads and the result is
+//! bit-identical at any thread count. Keep it pure — a cache or shared
+//! scratch buffer added here would silently break that contract.
+//! [`analyze_partition`], [`unit_stride`] and [`non_unit_stride`] gather
+//! one partition's tuples from the DDG by node id; they serve tools and
+//! tests.
 
 use vectorscope_ddg::Ddg;
 
@@ -156,28 +161,28 @@ fn sorted_tuples(ddg: &Ddg, nodes: &[u32]) -> SortedTuples {
 }
 
 /// Runs both stride stages over a sorted tuple arena — the payload-generic
-/// core shared by the batch engine (payload = DDG node id) and the
-/// streaming engine (payload = within-partition instance index).
+/// core behind both engines (payload = within-partition instance index)
+/// and [`analyze_partition`] (payload = DDG node id).
 ///
-/// Both engines feed payloads that are unique and increase in execution
+/// Every caller feeds payloads that are unique and increase in execution
 /// order, so the subpartition *structure* (membership pattern and sizes)
-/// depends only on the tuple multiset. That is the equivalence the
-/// streaming engine's byte-identity contract rests on: it never needs node
-/// ids, only the same group sizes.
+/// depends only on the tuple multiset. That is why the engines never need
+/// node ids, only the same group sizes.
 pub(crate) fn analyze_sorted_tuples(tuples: &SortedTuples, elem_size: u64) -> StrideReport {
-    let runs = unit_runs(tuples, elem_size);
     let mut report = StrideReport::default();
     let mut leftovers: Vec<usize> = Vec::new();
-    for run in runs {
-        if run.len() >= 2 {
+    let mut start = 0;
+    for end in unit_runs(tuples, elem_size) {
+        if end - start >= 2 {
             report
                 .unit
-                .push(run.iter().map(|&i| tuples.payload(i)).collect());
+                .push((start..end).map(|i| tuples.payload(i)).collect());
         } else {
             // Singleton runs fall out in scan order, which is the sorted
             // order the wait-list stage expects.
-            leftovers.extend(run);
+            leftovers.push(start);
         }
+        start = end;
     }
     for sp in non_unit_scan(tuples, leftovers) {
         if sp.len() >= 2 {
@@ -189,12 +194,12 @@ pub(crate) fn analyze_sorted_tuples(tuples: &SortedTuples, elem_size: u64) -> St
     report
 }
 
-/// The §3.2 scan over the sorted arena, returning maximal unit/zero-stride
-/// runs as indices into `tuples`.
-fn unit_runs(tuples: &SortedTuples, elem_size: u64) -> Vec<Vec<usize>> {
+/// The §3.2 scan over the sorted arena: maximal unit/zero-stride runs of
+/// consecutive tuples, returned as their end indices (run `r` spans
+/// `ends[r - 1]..ends[r]`, the first starting at 0).
+fn unit_runs(tuples: &SortedTuples, elem_size: u64) -> Vec<usize> {
     let arity = tuples.arity;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
+    let mut ends = Vec::new();
     // The established per-operand stride pattern, valid when `has_est`;
     // `delta` is scratch for the candidate pattern under test. Reusing both
     // across runs keeps the scan allocation-free.
@@ -202,36 +207,32 @@ fn unit_runs(tuples: &SortedTuples, elem_size: u64) -> Vec<Vec<usize>> {
     let mut has_est = false;
     let mut delta: Vec<u64> = vec![0; arity];
 
-    for i in 0..tuples.len() {
-        if let Some(&prev) = current.last() {
-            let (pk, ck) = (tuples.key(prev), tuples.key(i));
-            let mut ok = true;
-            for j in 0..arity {
-                match ck[j].checked_sub(pk[j]) {
-                    Some(d) if (d == 0 || d == elem_size) && (!has_est || established[j] == d) => {
-                        delta[j] = d;
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
+    for i in 1..tuples.len() {
+        let (pk, ck) = (tuples.key(i - 1), tuples.key(i));
+        let mut ok = true;
+        for j in 0..arity {
+            match ck[j].checked_sub(pk[j]) {
+                Some(d) if (d == 0 || d == elem_size) && (!has_est || established[j] == d) => {
+                    delta[j] = d;
+                }
+                _ => {
+                    ok = false;
+                    break;
                 }
             }
-            if ok {
-                established.copy_from_slice(&delta);
-                has_est = true;
-                current.push(i);
-                continue;
-            }
-            out.push(std::mem::take(&mut current));
+        }
+        if ok {
+            established.copy_from_slice(&delta);
+            has_est = true;
+        } else {
+            ends.push(i);
             has_est = false;
         }
-        current.push(i);
     }
-    if !current.is_empty() {
-        out.push(current);
+    if tuples.len() > 0 {
+        ends.push(tuples.len());
     }
-    out
+    ends
 }
 
 /// The §3.3 wait-list scan over the sorted arena, taking leftover tuple
@@ -241,8 +242,9 @@ fn non_unit_scan(tuples: &SortedTuples, mut pending: Vec<usize>) -> Vec<Vec<u32>
     let mut out = Vec::new();
     let mut established: Vec<u64> = vec![0; arity];
     let mut delta: Vec<u64> = vec![0; arity];
+    let mut waitlist: Vec<usize> = Vec::new();
     while !pending.is_empty() {
-        let mut waitlist: Vec<usize> = Vec::new();
+        waitlist.clear();
         let mut current: Vec<u32> = Vec::new();
         let mut prev: Option<usize> = None;
         let mut has_est = false;
@@ -279,7 +281,7 @@ fn non_unit_scan(tuples: &SortedTuples, mut pending: Vec<usize>) -> Vec<Vec<u32>
             }
         }
         out.push(current);
-        pending = waitlist;
+        std::mem::swap(&mut pending, &mut waitlist);
     }
     out
 }
@@ -293,9 +295,14 @@ fn non_unit_scan(tuples: &SortedTuples, mut pending: Vec<usize>) -> Vec<Vec<u32>
 /// subpartition.
 pub fn unit_stride(ddg: &Ddg, partition: &[u32], elem_size: u64) -> Vec<Vec<u32>> {
     let tuples = sorted_tuples(ddg, partition);
+    let mut start = 0;
     unit_runs(&tuples, elem_size)
         .into_iter()
-        .map(|run| run.into_iter().map(|i| tuples.payload(i)).collect())
+        .map(|end| {
+            let run = (start..end).map(|i| tuples.payload(i)).collect();
+            start = end;
+            run
+        })
         .collect()
 }
 

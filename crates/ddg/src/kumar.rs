@@ -7,7 +7,7 @@
 //! expose per-statement vectorizable partitions: instances of different
 //! statements interleave in the timestamp classes.
 
-use crate::Ddg;
+use crate::{Ddg, EXTERNAL};
 
 /// Result of the Kumar critical-path analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,13 +61,13 @@ impl KumarAnalysis {
 pub fn analyze(ddg: &Ddg) -> KumarAnalysis {
     let mut timestamps = vec![0u64; ddg.len()];
     let mut critical_path = 0u64;
-    for n in 0..ddg.len() as u32 {
+    for (n, row) in ddg.operand_rows().enumerate() {
         let mut ts = 0;
-        for p in ddg.preds(n) {
+        for &p in row.iter().filter(|&&p| p != EXTERNAL) {
             ts = ts.max(timestamps[p as usize]);
         }
         let ts = ts + 1;
-        timestamps[n as usize] = ts;
+        timestamps[n] = ts;
         critical_path = critical_path.max(ts);
     }
     let mut histogram = vec![0u64; critical_path as usize];

@@ -20,12 +20,15 @@
 //!
 //! The last-writer rules live in [`resolve`], the one resolver this crate
 //! and the streaming engine (`vectorscope::stream`) share; the builder here
-//! only turns each resolved instance into a node and a CSR operand row.
+//! only turns each resolved instance into a node and its operand row.
 //! [`DdgBuilder`] takes events one at a time, so a VM sink can build the
 //! graph while the program runs, without buffering a trace.
 //!
 //! Execution order is a topological order of the DDG, so all downstream
-//! analyses are single forward scans.
+//! analyses are single forward scans: [`Ddg::operand_rows`] yields every
+//! node's operand writers in node order. The graph stores one operand count
+//! per node, not an offset, so random access ([`Ddg::operand_writers`]) is
+//! the slower path, kept for queries and test oracles.
 //!
 //! Two prior-work baselines the paper contrasts against (§2.1) are also
 //! implemented here:
@@ -57,10 +60,16 @@ pub enum BuildError {
     /// The trace has too many node-producing events for `u32` node ids:
     /// node id `u32::MAX` would collide with the [`EXTERNAL`] sentinel,
     /// and anything past it would silently truncate and corrupt every
-    /// dependence edge. (The CSR operand array is bounded the same way.)
+    /// dependence edge. (The operand-writer array is bounded the same way.)
     TraceTooLarge {
         /// How many nodes the trace tried to create (saturated count).
         nodes: usize,
+    },
+    /// An instruction instance has more than 255 operands: a node stores
+    /// its operand count in one byte.
+    TooManyOperands {
+        /// The offending instruction.
+        inst: InstId,
     },
     /// A load or store event carries no address, so its memory dependence
     /// cannot be resolved (a corrupt or foreign trace; the VM always
@@ -86,13 +95,19 @@ impl std::fmt::Display for BuildError {
                     inst.0
                 )
             }
+            BuildError::TooManyOperands { inst } => write!(
+                f,
+                "instruction #{} has more than {} operands, the most a DDG node holds",
+                inst.0,
+                u8::MAX
+            ),
         }
     }
 }
 
 impl std::error::Error for BuildError {}
 
-/// Checked conversion of a prospective node id (or CSR offset) to `u32`.
+/// Checked conversion of a prospective node id to `u32`.
 ///
 /// `u32::MAX` itself is rejected: it is the [`EXTERNAL`] sentinel, so a
 /// graph may hold at most `u32::MAX` nodes (ids `0..u32::MAX`).
@@ -145,6 +160,10 @@ impl CandidatePolicy {
 
 /// Slots a [`reserve_lean`] step adds at least.
 const LEAN_FLOOR: usize = 4096;
+
+/// Nodes per operand-offset mark: [`Ddg::operand_writers`] adds up at most
+/// `MARK_EVERY - 1` operand counts after the nearest mark.
+const MARK_EVERY: usize = 64;
 
 /// Makes room for `additional` more elements in `v`, growing its capacity
 /// by one eighth (at least a few thousand slots) instead of `Vec`'s
@@ -210,9 +229,13 @@ pub struct Ddg {
     /// The dynamic memory address of each node: the accessed address for
     /// loads and stores, 0 otherwise.
     addrs: Vec<u64>,
-    /// CSR offsets into `op_writers` (`insts.len() + 1` entries).
-    op_offsets: Vec<u32>,
-    /// Operand writers in operand order; [`EXTERNAL`] marks missing ones.
+    /// The operand count of each node: its row's length in `op_writers`.
+    arities: Vec<u8>,
+    /// The `op_writers` offset of every [`MARK_EVERY`]th node (`marks[i]`
+    /// is node `i * MARK_EVERY`'s), for random access.
+    marks: Vec<u32>,
+    /// Operand writers in operand order, node after node; [`EXTERNAL`]
+    /// marks missing ones.
     op_writers: Vec<u32>,
     /// The class of each static instruction's nodes, by [`InstId`]
     /// (`None` for instructions without a node): the class depends only on
@@ -239,9 +262,10 @@ impl Ddg {
     /// # Errors
     ///
     /// Returns [`BuildError::TraceTooLarge`] if the trace would create
-    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]), and
+    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]),
     /// [`BuildError::MissingAddress`] for a load or store event without an
-    /// address.
+    /// address, and [`BuildError::TooManyOperands`] for an instance with
+    /// more than 255 operands.
     pub fn try_build(module: &Module, trace: &Trace) -> Result<Ddg, BuildError> {
         Ddg::try_build_with_policy(module, trace, CandidatePolicy::FloatArith)
     }
@@ -273,18 +297,20 @@ impl Ddg {
         self.insts.is_empty()
     }
 
-    /// Bytes of the graph's data: the per-node instruction and address
-    /// columns, the CSR operand arrays and the per-instruction class table,
-    /// counted by length. The columns grow by eighths ([`reserve_lean`]),
-    /// so their allocated capacity exceeds this figure by at most an eighth
-    /// (or a few thousand slots, for a small graph). This is the batch
+    /// Bytes of the graph's data: the per-node instruction, address and
+    /// operand-count columns, the offset marks, the operand writers and the
+    /// per-instruction class table, counted by length. The columns grow by
+    /// eighths ([`reserve_lean`]), so their allocated capacity exceeds this
+    /// figure by at most an eighth (or a few thousand slots, for a small
+    /// graph). This is the batch
     /// engine's peak-memory denominator in the streaming-vs-batch
     /// comparison (`vscope stats` and the memory budget in
     /// `tests/streaming.rs`).
     pub fn memory_bytes(&self) -> usize {
         self.insts.len() * std::mem::size_of::<InstId>()
             + self.addrs.len() * std::mem::size_of::<u64>()
-            + self.op_offsets.len() * std::mem::size_of::<u32>()
+            + self.arities.len()
+            + self.marks.len() * std::mem::size_of::<u32>()
             + self.op_writers.len() * std::mem::size_of::<u32>()
             + self.classes.len() * std::mem::size_of::<Option<InstClass>>()
     }
@@ -327,10 +353,30 @@ impl Ddg {
     }
 
     /// Operand writers of node `n` in operand order ([`EXTERNAL`] = none).
+    ///
+    /// Random access adds up the operand counts since the nearest mark (at
+    /// most 63 of them); a pass over every node should use
+    /// [`Ddg::operand_rows`] instead.
     pub fn operand_writers(&self, n: u32) -> &[u32] {
-        let lo = self.op_offsets[n as usize] as usize;
-        let hi = self.op_offsets[n as usize + 1] as usize;
-        &self.op_writers[lo..hi]
+        let n = n as usize;
+        let mark = n / MARK_EVERY;
+        let lo = self.marks[mark] as usize
+            + self.arities[mark * MARK_EVERY..n]
+                .iter()
+                .map(|&a| usize::from(a))
+                .sum::<usize>();
+        &self.op_writers[lo..lo + usize::from(self.arities[n])]
+    }
+
+    /// Every node's operand writers ([`Ddg::operand_writers`]), in node
+    /// order: the forward walk all whole-graph analyses use.
+    pub fn operand_rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let mut rest = &self.op_writers[..];
+        self.arities.iter().map(move |&a| {
+            let (row, tail) = rest.split_at(usize::from(a));
+            rest = tail;
+            row
+        })
     }
 
     /// Flow predecessors of node `n` (deduplicated not guaranteed; external
@@ -350,11 +396,11 @@ impl Ddg {
     /// Distinct static candidate instructions present, in first-appearance
     /// order.
     pub fn candidate_insts(&self) -> Vec<InstId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.classes.len()];
         let mut out = Vec::new();
         for n in self.candidate_nodes() {
             let id = self.inst(n);
-            if seen.insert(id) {
+            if !std::mem::replace(&mut seen[id.index()], true) {
                 out.push(id);
             }
         }
@@ -374,12 +420,16 @@ impl Ddg {
     /// [`Ddg::operand_addrs`]) onto `out` without allocating a per-node
     /// vector — the stride analysis builds its flat key arenas with this.
     pub fn push_operand_addrs(&self, n: u32, out: &mut Vec<u64>) {
-        for &w in self.operand_writers(n) {
-            out.push(if w != EXTERNAL && self.is_load(w) {
-                self.addrs[w as usize]
-            } else {
-                0
-            });
+        out.extend(self.operand_writers(n).iter().map(|&w| self.load_addr(w)));
+    }
+
+    /// What operand writer `w` contributes to an address tuple: its address
+    /// if it is a load, else 0 (also for [`EXTERNAL`]).
+    pub fn load_addr(&self, w: u32) -> u64 {
+        if w != EXTERNAL && self.is_load(w) {
+            self.addrs[w as usize]
+        } else {
+            0
         }
     }
 
@@ -408,17 +458,14 @@ impl Ddg {
     /// dependence whose distance fits the observed trip count must show up
     /// here, or the DDG dropped an edge.
     pub fn find_flow_edge(&self, source: InstId, sink: InstId) -> Option<(u32, u32)> {
-        for n in 0..self.len() as u32 {
-            if self.inst(n) != sink {
-                continue;
-            }
-            for w in self.preds(n) {
-                if self.inst(w) == source {
-                    return Some((w, n));
-                }
-            }
-        }
-        None
+        (0..self.len() as u32)
+            .zip(self.operand_rows())
+            .filter(|&(n, _)| self.inst(n) == sink)
+            .find_map(|(n, row)| {
+                row.iter()
+                    .find(|&&w| w != EXTERNAL && self.inst(w) == source)
+                    .map(|&w| (w, n))
+            })
     }
 
     /// Whether any dynamic flow edge runs from an instance of `source` to
@@ -437,9 +484,11 @@ impl Ddg {
     ///
     /// # Panics
     ///
-    /// Panics if a writer index is forward-referencing, or if two nodes of
-    /// the same [`InstId`] have different classes (a graph stores one class
-    /// per static instruction); the message names the `InstId`.
+    /// Panics if a writer index is forward-referencing, if a node has more
+    /// than 255 writers (a node stores its operand count in one byte), or
+    /// if two nodes of the same [`InstId`] have different classes (a graph
+    /// stores one class per static instruction); the message names the
+    /// `InstId`.
     pub fn synthetic(nodes: Vec<SyntheticNode>) -> Ddg {
         let mut out = Ddg::empty();
         for (i, n) in nodes.into_iter().enumerate() {
@@ -465,9 +514,16 @@ impl Ddg {
                 class.class,
                 recorded.class
             );
+            let arity = u8::try_from(n.writers.len()).unwrap_or_else(|_| {
+                panic!(
+                    "synthetic node {i} has {} writers; a node holds at most {}",
+                    n.writers.len(),
+                    u8::MAX
+                )
+            });
             reserve_lean(&mut out.op_writers, n.writers.len());
             out.op_writers.extend_from_slice(&n.writers);
-            out.push_node(n.inst, n.addr);
+            out.push_node(n.inst, n.addr, arity);
         }
         out
     }
@@ -507,8 +563,6 @@ pub struct SyntheticNode {
 pub struct DdgBuilder<'m> {
     resolver: Resolver<'m, ()>,
     nodes: NodeSink,
-    /// The first resolution error; later events are ignored.
-    error: Option<BuildError>,
 }
 
 impl<'m> DdgBuilder<'m> {
@@ -516,16 +570,19 @@ impl<'m> DdgBuilder<'m> {
     pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
         DdgBuilder {
             resolver: Resolver::new(module, policy),
-            nodes: NodeSink { ddg: Ddg::empty() },
-            error: None,
+            nodes: NodeSink {
+                ddg: Ddg::empty(),
+                arity: 0,
+                error: None,
+            },
         }
     }
 
     /// Adds one event of the capture region, in execution order.
     pub fn push(&mut self, event: &TraceEvent) {
-        if self.error.is_none() {
+        if self.nodes.error.is_none() {
             if let Err(e) = self.resolver.step(event, &mut self.nodes) {
-                self.error = Some(e);
+                self.nodes.error = Some(e);
             }
         }
     }
@@ -536,18 +593,22 @@ impl<'m> DdgBuilder<'m> {
     ///
     /// The first error any event raised: the errors of [`Ddg::try_build`].
     pub fn finish(self) -> Result<Ddg, BuildError> {
-        match self.error {
+        match self.nodes.error {
             Some(e) => Err(e),
             None => Ok(self.nodes.ddg),
         }
     }
 }
 
-/// The DDG's payload handler: one node and one CSR operand row per
-/// resolved instance. Writer identity is the resolver's sequence number,
-/// which is exactly the node id, so the payload is empty.
+/// The DDG's payload handler: one node and one operand row per resolved
+/// instance. Writer identity is the resolver's sequence number, which is
+/// exactly the node id, so the payload is empty.
 struct NodeSink {
     ddg: Ddg,
+    /// Operands pushed for the pending node.
+    arity: usize,
+    /// The first error; the builder then ignores later events.
+    error: Option<BuildError>,
 }
 
 impl Ddg {
@@ -555,7 +616,8 @@ impl Ddg {
         Ddg {
             insts: Vec::new(),
             addrs: Vec::new(),
-            op_offsets: vec![0],
+            arities: Vec::new(),
+            marks: Vec::new(),
             op_writers: Vec::new(),
             classes: Vec::new(),
         }
@@ -570,17 +632,21 @@ impl Ddg {
         *self.classes[i].get_or_insert_with(class)
     }
 
-    /// Appends a node of a classified instruction whose operand writers
-    /// were pushed onto `op_writers`.
-    fn push_node(&mut self, inst: InstId, addr: u64) {
+    /// Appends a node of a classified instruction whose `arity` operand
+    /// writers were pushed onto `op_writers`.
+    fn push_node(&mut self, inst: InstId, addr: u64, arity: u8) {
+        if self.insts.len().is_multiple_of(MARK_EVERY) {
+            let row = self.op_writers.len() - usize::from(arity);
+            reserve_lean(&mut self.marks, 1);
+            self.marks
+                .push(u32::try_from(row).expect("the resolver bounds operands by u32"));
+        }
         reserve_lean(&mut self.insts, 1);
         reserve_lean(&mut self.addrs, 1);
-        reserve_lean(&mut self.op_offsets, 1);
+        reserve_lean(&mut self.arities, 1);
         self.insts.push(inst);
         self.addrs.push(addr);
-        self.op_offsets.push(
-            u32::try_from(self.op_writers.len()).expect("the resolver bounds operands by u32"),
-        );
+        self.arities.push(arity);
     }
 }
 
@@ -607,11 +673,16 @@ impl Handler<()> for NodeSink {
     fn operand(&mut self, writer: Option<&Writer<()>>) {
         reserve_lean(&mut self.ddg.op_writers, 1);
         self.ddg.op_writers.push(writer.map_or(EXTERNAL, |w| w.seq));
+        self.arity += 1;
     }
 
     fn node(&mut self, node: NodeEvent<'_>) {
+        let Ok(arity) = u8::try_from(std::mem::take(&mut self.arity)) else {
+            self.error = Some(BuildError::TooManyOperands { inst: node.inst.id });
+            return;
+        };
         self.ddg.classify(node.inst.id, || class_of(&node));
-        self.ddg.push_node(node.inst.id, node.addr);
+        self.ddg.push_node(node.inst.id, node.addr, arity);
     }
 }
 
@@ -839,6 +910,52 @@ mod tests {
             node(SyntheticClass::Load, vec![]),
             node(SyntheticClass::Candidate, vec![0]),
         ]);
+    }
+
+    /// The forward walk and random access agree on a graph whose operand
+    /// counts 0, 1 and 255 sit on both sides of the offset marks.
+    #[test]
+    fn operand_rows_match_random_access_around_marks() {
+        let special = [(63, 255), (64, 0), (65, 1), (127, 255), (128, 0)];
+        let rows: Vec<Vec<u32>> = (0..200u32)
+            .map(|i| {
+                let arity = special
+                    .iter()
+                    .find(|&&(n, _)| n == i)
+                    .map_or(i % 3, |&(_, a)| a);
+                (0..arity)
+                    .map(|j| if i == 0 { EXTERNAL } else { (i * 7 + j) % i })
+                    .collect()
+            })
+            .collect();
+        let ddg = Ddg::synthetic(
+            rows.iter()
+                .map(|writers| SyntheticNode {
+                    inst: InstId(0),
+                    addr: 0,
+                    class: SyntheticClass::Other,
+                    writers: writers.clone(),
+                })
+                .collect(),
+        );
+        let walked: Vec<&[u32]> = ddg.operand_rows().collect();
+        assert_eq!(walked.len(), rows.len());
+        for (n, row) in rows.iter().enumerate() {
+            assert_eq!(walked[n], &row[..], "node {n}");
+            assert_eq!(ddg.operand_writers(n as u32), &row[..], "node {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "synthetic node 1 has 256 writers")]
+    fn synthetic_rejects_more_than_255_writers() {
+        let node = |writers| SyntheticNode {
+            inst: InstId(0),
+            addr: 0,
+            class: SyntheticClass::Other,
+            writers,
+        };
+        Ddg::synthetic(vec![node(vec![]), node(vec![0; 256])]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! all of S2) are mutually independent. The per-statement analysis in the
 //! `vectorscope` core crate recovers that missing parallelism.
 
-use crate::Ddg;
+use crate::{Ddg, EXTERNAL};
 use vectorscope_ir::loops::LoopId;
 use vectorscope_ir::{FuncId, Module};
 use vectorscope_trace::{EventKind, Trace};
@@ -120,16 +120,15 @@ pub fn analyze(
     // DOACROSS timestamps: an iteration starts after every earlier
     // iteration that feeds it.
     let mut iter_timestamps = vec![1u64; iterations];
-    for n in 0..ddg.len() as u32 {
-        let ni = node_iteration[n as usize];
+    for (&ni, row) in node_iteration.iter().zip(ddg.operand_rows()) {
         if ni == u32::MAX {
             continue;
         }
-        for p in ddg.preds(n) {
+        for &p in row {
             // Only data flow (memory accesses and floating-point values)
             // orders iterations; integer loop-control recurrences (i = i+1)
             // are part of loop control in Larus's model.
-            if !ddg.is_data_node(p) {
+            if p == EXTERNAL || !ddg.is_data_node(p) {
                 continue;
             }
             let pi = node_iteration[p as usize];

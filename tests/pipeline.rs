@@ -359,3 +359,95 @@ fn sink_built_program_ddg_equals_trace_built() {
         assert_eq!(program.per_inst, per_inst, "{name}: per-inst rows");
     }
 }
+
+/// The forward walks against their random-access oracles, on every
+/// bundled kernel's whole-program DDG under both candidate policies:
+/// `operand_rows` yields what `operand_writers` returns node by node, and
+/// `analyze_ddg` (timestamps, then tuples gathered in execution order)
+/// counts what `partition_all` + `stride::analyze_partition` count per
+/// group, with and without reduction breaking.
+#[test]
+fn forward_walks_match_their_random_access_oracles() {
+    use vectorscope::reduction::reduction_chains;
+    use vectorscope::stride::analyze_partition;
+    use vectorscope::{partition_all, InstMetrics};
+
+    let counts = |m: &InstMetrics| {
+        let c = [
+            m.instances,
+            m.partitions,
+            m.unit_ops,
+            m.unit_subparts,
+            m.non_unit_ops,
+            m.non_unit_subparts,
+        ];
+        (m.inst, c)
+    };
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
+        let mut vm = Vm::new(&module);
+        vm.set_capture(CaptureSpec::Program, &name);
+        vm.run_main().unwrap();
+        let trace = vm.take_trace().unwrap();
+        drop(vm);
+        for policy in [
+            CandidatePolicy::FloatArith,
+            CandidatePolicy::IntAndFloatArith,
+        ] {
+            let ddg = Ddg::try_build_with_policy(&module, &trace, policy).unwrap();
+            let mut rows = 0;
+            for (n, row) in (0..).zip(ddg.operand_rows()) {
+                assert_eq!(row, ddg.operand_writers(n), "{name}: node {n}");
+                rows += 1;
+            }
+            assert_eq!(rows, ddg.len(), "{name}: row count");
+
+            for break_reductions in [false, true] {
+                let options = MetricOptions {
+                    break_reductions,
+                    threads: 1,
+                };
+                let (_, per_inst) = analyze_ddg(&module, &ddg, &options);
+                let mut got: Vec<_> = per_inst.iter().map(counts).collect();
+
+                let chains = if break_reductions {
+                    reduction_chains(&module, &ddg)
+                } else {
+                    Vec::new()
+                };
+                let empty = HashSet::new();
+                let insts = ddg.candidate_insts();
+                let ignores: Vec<&HashSet<u32>> = insts
+                    .iter()
+                    .map(|&i| {
+                        chains
+                            .iter()
+                            .find(|c| c.inst == i)
+                            .map_or(&empty, |c| &c.chain_nodes)
+                    })
+                    .collect();
+                let mut want: Vec<_> = partition_all(&ddg, &insts, &ignores)
+                    .iter()
+                    .map(|p| {
+                        let mut c = [p.num_instances() as u64, p.groups.len() as u64, 0, 0, 0, 0];
+                        for g in &p.groups {
+                            let r = analyze_partition(&ddg, g, ddg.elem_size(p.inst));
+                            c[2] += r.unit_ops() as u64;
+                            c[3] += r.unit.len() as u64;
+                            c[4] += r.non_unit_ops() as u64;
+                            c[5] += r.non_unit.len() as u64;
+                        }
+                        (p.inst, c)
+                    })
+                    .collect();
+                got.sort_by_key(|&(inst, _)| inst.0);
+                want.sort_by_key(|&(inst, _)| inst.0);
+                assert_eq!(
+                    got, want,
+                    "{name}: {policy:?}, break_reductions {break_reductions}"
+                );
+            }
+        }
+    }
+}

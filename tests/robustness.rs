@@ -348,3 +348,49 @@ fn memory_events_without_an_address_are_errors_not_panics() {
     assert_eq!(e, Error::MissingAddress { inst: load });
     assert!(e.to_string().contains("no address"), "{e}");
 }
+
+/// A DDG node holds its operand count in one byte: an instruction with
+/// more than 255 operands (here a textual-IR `gep` of 256 index terms plus
+/// its base) is a typed error from the builder and from `analyze_program`,
+/// not a panic or a truncated row.
+#[test]
+fn more_than_255_operands_is_an_error_not_a_panic() {
+    use vectorscope_ddg::BuildError;
+    use vectorscope_ir::InstKind;
+
+    let terms = " + %0*8".repeat(256);
+    let text = format!(
+        "module wide.ir {{
+  global a : 8 bytes
+  fn main() {{
+  bb0:
+    %0 = copy.i64 0
+    %1 = global_addr @0
+    %2 = gep %1{terms}
+    ret
+  }}
+}}
+"
+    );
+    let module = vectorscope_ir::parse::parse_module(&text).unwrap();
+    vectorscope_ir::verify::verify_module(&module).unwrap();
+    let gep = module
+        .functions()
+        .iter()
+        .flat_map(|f| f.blocks())
+        .flat_map(|b| &b.insts)
+        .find(|i| matches!(&i.kind, InstKind::Gep { indices, .. } if indices.len() == 256))
+        .expect("the module has the wide gep")
+        .id;
+
+    let mut vm = Vm::new(&module);
+    vm.set_capture(CaptureSpec::Program, "all");
+    vm.run_main().unwrap();
+    let trace = vm.take_trace().unwrap();
+    let want = BuildError::TooManyOperands { inst: gep };
+    assert_eq!(Ddg::try_build(&module, &trace).err(), Some(want.clone()));
+
+    let err = vectorscope::analyze_program(&module, &AnalysisOptions::default()).err();
+    assert_eq!(err, Some(Error::TooManyOperands { inst: gep }));
+    assert!(Error::from(want).to_string().contains("255"));
+}
