@@ -17,9 +17,7 @@
 use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
-use vectorscope::{analyze_sources, partition, partition_all, AnalysisOptions};
-use vectorscope_ddg::Ddg;
-use vectorscope_interp::{CaptureSpec, Vm};
+use vectorscope::{analyze_sources, partition, partition_all, program_ddg, AnalysisOptions};
 use vectorscope_ir::Module;
 
 /// Target wall-clock time of the measured batch.
@@ -79,11 +77,7 @@ void main() {{
 /// The fused-partitioning speedup over the per-instruction reference.
 fn fused_speedup() -> f64 {
     let module = vectorscope_frontend::compile("fused.kern", &multi_statement_src(256)).unwrap();
-    let mut vm = Vm::new(&module);
-    vm.set_capture(CaptureSpec::Program, "fused");
-    vm.run_main().unwrap();
-    let trace = vm.take_trace().unwrap();
-    let ddg = Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, &AnalysisOptions::default()).unwrap();
     let insts = ddg.candidate_insts();
     assert!(
         insts.len() >= 8,

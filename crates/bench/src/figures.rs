@@ -1,20 +1,15 @@
 //! Regeneration of Figures 1 and 2.
 
 use std::collections::HashSet;
-use vectorscope::partition;
+use vectorscope::{partition, program_ddg, AnalysisOptions};
 use vectorscope_ddg::{kumar, looplevel, Ddg};
 use vectorscope_interp::{CaptureSpec, Vm};
 use vectorscope_ir::InstId;
 
-/// Compiles and whole-program-traces a source, returning the module + DDG.
+/// Compiles a source and builds its whole-program DDG, returning both.
 fn trace_program(name: &str, src: &str) -> (vectorscope_ir::Module, Ddg) {
     let module = vectorscope_frontend::compile(name, src).expect("figure source compiles");
-    let mut vm = Vm::new(&module);
-    vm.set_capture(CaptureSpec::Program, name);
-    vm.run_main().expect("figure program runs");
-    let trace = vm.take_trace().expect("trace captured");
-    drop(vm); // the VM's capture state borrows `module`, which moves below
-    let ddg = Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, &AnalysisOptions::default()).expect("figure program runs");
     (module, ddg)
 }
 

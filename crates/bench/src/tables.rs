@@ -3,22 +3,8 @@
 use crate::speedup::case_study_speedups;
 use vectorscope::report::render_table;
 use vectorscope::{analyze_program, analyze_source, AnalysisOptions, LoopReport};
-use vectorscope_autovec::{analyze_module, percent_packed};
+use vectorscope_autovec::analyze_module;
 use vectorscope_kernels::{studies, utdsp, Kernel};
-
-/// Attaches the model vectorizer's *Percent Packed* to each hot-loop
-/// report, using the loop's dynamic FP-op counts as weights.
-fn attach_percent_packed(module: &vectorscope_ir::Module, loops: &mut [LoopReport]) {
-    let decisions = analyze_module(module);
-    for report in loops {
-        let counts: Vec<(vectorscope_ir::InstId, u64)> = report
-            .per_inst
-            .iter()
-            .map(|m| (m.inst, m.instances))
-            .collect();
-        report.percent_packed = Some(percent_packed(&decisions, &counts));
-    }
-}
 
 /// Runs the full pipeline on one kernel and returns its hot-loop rows with
 /// *Percent Packed* attached.
@@ -26,10 +12,7 @@ pub fn analyze_kernel_hot_loops(
     kernel: &Kernel,
     options: &AnalysisOptions,
 ) -> Result<Vec<LoopReport>, vectorscope::Error> {
-    let suite = analyze_source(&kernel.file_name(), &kernel.source, options)?;
-    let mut loops = suite.loops;
-    attach_percent_packed(&suite.module, &mut loops);
-    Ok(loops)
+    Ok(analyze_source(&kernel.file_name(), &kernel.source, options)?.into_packed_loops())
 }
 
 /// Whole-program analysis row for one kernel (Table 3 granularity).
@@ -39,26 +22,21 @@ pub fn analyze_kernel_program(
 ) -> Result<LoopReport, vectorscope::Error> {
     let module = kernel.compile().map_err(vectorscope::Error::Compile)?;
     let analysis = analyze_program(&module, options)?;
-    let decisions = analyze_module(&module);
-    let counts: Vec<(vectorscope_ir::InstId, u64)> = analysis
-        .per_inst
-        .iter()
-        .map(|m| (m.inst, m.instances))
-        .collect();
-    let pct = percent_packed(&decisions, &counts);
-    Ok(LoopReport {
+    let mut report = LoopReport {
         module_name: kernel.file_name(),
         func_name: "<program>".into(),
         func: vectorscope_ir::FuncId(0),
         loop_id: vectorscope_ir::loops::LoopId(0),
         loop_line: 0,
         percent_cycles: 100.0,
-        percent_packed: Some(pct),
+        percent_packed: None,
         control_irregularity: 0.0,
         metrics: analysis.metrics,
         per_inst: analysis.per_inst,
         ddg_nodes: analysis.ddg.len(),
-    })
+    };
+    report.attach_percent_packed(&analyze_module(&module));
+    Ok(report)
 }
 
 /// Table 1: per-hot-loop analysis of the SPEC CFP2006 stand-ins.

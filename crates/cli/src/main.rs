@@ -1,26 +1,12 @@
 //! `vscope`: command-line driver for the vectorscope analyzer.
 //!
-//! ```text
-//! vscope analyze <file.kern> [--threshold PCT] [--break-reductions]
-//!                            [--integer-ops] [--verbose] [--json]
-//! vscope stats <file.kern> [--integer-ops] [--json]
-//! vscope profile <file.kern>
-//! vscope vectorize <file.kern>
-//! vscope trace <file.kern> [--out trace.bin]
-//! vscope ir <file.kern> [--no-verify]
-//! vscope kernels
-//! vscope kernel <name> [<variant>] [--verbose]
-//! vscope triage <file.kern> [--threshold PCT]
-//! vscope gap <file.kern> [--json]
-//! vscope gap --all-kernels [--json]
-//! vscope table <1|2|3|4>
-//! vscope fig <1|2>
-//! ```
+//! The subcommands and their flags are listed in [`USAGE`], which running
+//! `vscope` without arguments prints.
 
 use std::process::ExitCode;
 use vectorscope::report::{render_inst_breakdown, render_table};
-use vectorscope::{analyze_source, AnalysisOptions};
-use vectorscope_autovec::{analyze_module, percent_packed};
+use vectorscope::{analyze_source, program_ddg, AnalysisOptions, LoopReport};
+use vectorscope_autovec::analyze_module;
 use vectorscope_interp::{CaptureSpec, Vm};
 use vectorscope_kernels::Variant;
 
@@ -39,7 +25,7 @@ USAGE:
   vscope profile <file.kern> [--phases] show per-loop cycle profile; with
                                        --phases also wall-clock time per
                                        pipeline phase (decode/execute/
-                                       trace/ddg/analysis)
+                                       capture+ddg/analysis)
   vscope vectorize <file.kern>         show model auto-vectorizer decisions
   vscope trace <file.kern> [--out F]   capture a whole-program trace
   vscope ir <file.kern> [--no-verify]  verify and dump the compiled IR
@@ -212,7 +198,13 @@ fn opt_value<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The `idx`-th argument that is neither a flag nor the value of an
+/// option (any option of [`SUBCOMMANDS`] or [`ANALYSIS_OPTIONS`]:
+/// [`check_flags`] has already rejected the ones `cmd` does not take).
 fn positional(rest: &[String], idx: usize) -> Option<&str> {
+    let takes_value = |a: &str| {
+        ANALYSIS_OPTIONS.contains(&a) || SUBCOMMANDS.iter().any(|(_, f)| f.options.contains(&a))
+    };
     let mut skip_next = false;
     let mut seen = 0;
     for a in rest {
@@ -220,7 +212,7 @@ fn positional(rest: &[String], idx: usize) -> Option<&str> {
             skip_next = false;
             continue;
         }
-        if a == "--threshold" || a == "--out" || a == "--threads" {
+        if takes_value(a) {
             skip_next = true;
             continue;
         }
@@ -241,13 +233,25 @@ fn analysis_options(rest: &[String]) -> Result<AnalysisOptions, Box<dyn std::err
         include_integer_ops: flag(rest, "--integer-ops"),
         ..AnalysisOptions::default()
     };
-    if let Some(t) = opt_value(rest, "--threshold") {
-        options.hot_threshold_pct = t.parse::<f64>()?;
+    if let Some(v) = opt_value(rest, "--threshold") {
+        options.hot_threshold_pct = parse_value("--threshold", v)?;
+        if !(0.0..=100.0).contains(&options.hot_threshold_pct) {
+            return Err(format!("--threshold: `{v}` is not a percentage in [0, 100]").into());
+        }
     }
-    if let Some(t) = opt_value(rest, "--threads") {
-        options.threads = t.parse::<usize>()?;
+    if let Some(v) = opt_value(rest, "--threads") {
+        options.threads = parse_value("--threads", v)?;
     }
     Ok(options)
+}
+
+/// Parses the value `v` of option `name`; the error names both.
+fn parse_value<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse()
+        .map_err(|e| format!("{name}: invalid value `{v}` ({e})"))
 }
 
 /// Analyzes a source and prints its hot-loop table (shared by `analyze`
@@ -259,17 +263,7 @@ fn analyze_and_print(
     verbose: bool,
     json: bool,
 ) -> CliResult {
-    let suite = analyze_source(name, source, options)?;
-    let decisions = analyze_module(&suite.module);
-    let mut loops = suite.loops;
-    for report in &mut loops {
-        let counts: Vec<(vectorscope_ir::InstId, u64)> = report
-            .per_inst
-            .iter()
-            .map(|m| (m.inst, m.instances))
-            .collect();
-        report.percent_packed = Some(percent_packed(&decisions, &counts));
-    }
+    let loops = analyze_source(name, source, options)?.into_packed_loops();
     if json {
         println!("{}", vectorscope::json::suite_json(&loops));
         return Ok(());
@@ -304,9 +298,9 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
 }
 
 /// Streams a whole run through the bounded-memory engine and reports its
-/// per-phase observability counters, then analyzes the same run through
-/// the batch pipeline (`analyze_program`) for a peak-memory comparison
-/// against the DDG it builds. The counters live here — never in
+/// per-phase observability counters, then builds the same run's batch DDG
+/// (`program_ddg`, the first half of `analyze_program`) for a peak-memory
+/// comparison. The counters live here — never in
 /// `vscope analyze` output, whose bytes are contractually identical
 /// between the two engines.
 fn cmd_stats(rest: &[String]) -> CliResult {
@@ -320,9 +314,7 @@ fn cmd_stats(rest: &[String]) -> CliResult {
     let streaming_peak = s.peak_resident_bytes();
     // Batch footprint for the same run: the DDG the streaming engine never
     // builds, under the same options (candidate policy included).
-    let ddg_bytes = vectorscope::analyze_program(&module, &options)?
-        .ddg
-        .memory_bytes();
+    let ddg_bytes = program_ddg(&module, &options)?.memory_bytes();
 
     if flag(rest, "--json") {
         println!(
@@ -393,26 +385,8 @@ fn cmd_profile(rest: &[String]) -> CliResult {
     // wall-clock phase breakdown is opt-in behind `--phases`.
     if flag(rest, "--phases") {
         drop(vm);
-        // The capture run feeds the DDG builder through the VM's event
-        // sink, as `analyze_program` does: no trace is buffered.
         let t2 = std::time::Instant::now();
-        let builder = std::rc::Rc::new(std::cell::RefCell::new(vectorscope_ddg::DdgBuilder::new(
-            &module,
-            vectorscope::CandidatePolicy::FloatArith,
-        )));
-        let sink = std::rc::Rc::clone(&builder);
-        let mut cap_vm = Vm::new(&module);
-        cap_vm.add_sink(
-            CaptureSpec::Program,
-            Box::new(move |e| sink.borrow_mut().push(e)),
-        );
-        cap_vm.run_main()?;
-        drop(cap_vm); // releases the sink's reference to the builder
-        let ddg = std::rc::Rc::try_unwrap(builder)
-            .ok()
-            .expect("the sink was dropped with the VM")
-            .into_inner()
-            .finish()?;
+        let ddg = program_ddg(&module, &AnalysisOptions::default())?;
         let capture_time = t2.elapsed();
         let t3 = std::time::Instant::now();
         let _ = vectorscope::metrics::analyze_ddg(
@@ -568,11 +542,7 @@ fn cmd_parallelism(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("parallelism: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = Vm::new(&module);
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, &AnalysisOptions::default())?;
     let k = vectorscope_ddg::kumar::analyze(&ddg);
     println!(
         "{} DDG nodes, critical path {}, average parallelism {:.2}",
@@ -612,11 +582,7 @@ fn cmd_ddg(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("ddg: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = Vm::new(&module);
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, &AnalysisOptions::default())?;
     let options = vectorscope_ddg::dot::DotOptions {
         candidates_only: flag(rest, "--candidates-only"),
         ..vectorscope_ddg::dot::DotOptions::default()
@@ -637,17 +603,7 @@ fn cmd_triage(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("triage: missing <file.kern>")?;
     let source = read_source(path)?;
     let options = analysis_options(rest)?;
-    let suite = analyze_source(path, &source, &options)?;
-    let decisions = analyze_module(&suite.module);
-    let mut loops = suite.loops;
-    for report in &mut loops {
-        let counts: Vec<(vectorscope_ir::InstId, u64)> = report
-            .per_inst
-            .iter()
-            .map(|m| (m.inst, m.instances))
-            .collect();
-        report.percent_packed = Some(percent_packed(&decisions, &counts));
-    }
+    let loops = analyze_source(path, &source, &options)?.into_packed_loops();
     let thresholds = TriageThresholds::default();
     println!(
         "{:<30} {:>8} {:>8} {:>10} {:>8}  verdict",
@@ -754,19 +710,12 @@ fn cmd_suite(rest: &[String]) -> CliResult {
                 continue;
             }
         };
-        let decisions = analyze_module(&suite.module);
         // The kernel's hottest FP loop.
-        let mut best: Option<vectorscope::LoopReport> = None;
-        for mut report in suite.loops {
+        let mut best: Option<LoopReport> = None;
+        for report in suite.loops {
             if report.metrics.total_ops == 0 {
                 continue;
             }
-            let counts: Vec<(vectorscope_ir::InstId, u64)> = report
-                .per_inst
-                .iter()
-                .map(|m| (m.inst, m.instances))
-                .collect();
-            report.percent_packed = Some(percent_packed(&decisions, &counts));
             let better = best
                 .as_ref()
                 .map(|b| report.percent_cycles > b.percent_cycles)
@@ -775,10 +724,11 @@ fn cmd_suite(rest: &[String]) -> CliResult {
                 best = Some(report);
             }
         }
-        let Some(report) = best else {
+        let Some(mut report) = best else {
             println!("{:<28} no FP loops above threshold", kernel.file_name());
             continue;
         };
+        report.attach_percent_packed(&analyze_module(&suite.module));
         println!(
             "{:<28} {:>7.1}% {:>9.1}% {:>8.2}  {}",
             kernel.file_name(),

@@ -100,6 +100,70 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(ok, "{err}");
 }
 
+/// A numeric option with a bad value is an error naming the option and
+/// the value; the threshold is a percentage, so a value that is not one
+/// is rejected rather than silently analyzing nothing (or everything).
+#[test]
+fn bad_option_values_are_rejected_by_name() {
+    let path = write_temp("values.kern", SAXPY);
+    let file = path.to_str().unwrap();
+    for (option, value, want) in [
+        (
+            "--threshold",
+            "NaN",
+            "--threshold: `NaN` is not a percentage",
+        ),
+        (
+            "--threshold",
+            "inf",
+            "--threshold: `inf` is not a percentage",
+        ),
+        ("--threshold", "-5", "--threshold: `-5` is not a percentage"),
+        (
+            "--threshold",
+            "101",
+            "--threshold: `101` is not a percentage",
+        ),
+        ("--threshold", "ten", "--threshold: invalid value `ten`"),
+        ("--threads", "abc", "--threads: invalid value `abc`"),
+    ] {
+        let (out, err, ok) = vscope(&["analyze", file, option, value]);
+        assert!(!ok, "{option} {value} accepted: {out}");
+        assert!(err.contains(want), "{option} {value}: {err}");
+        assert!(out.is_empty(), "{option} {value}: {out}");
+    }
+    let (_, err, ok) = vscope(&["stats", file, "--threads", "abc"]);
+    assert!(!ok);
+    assert!(err.contains("--threads: invalid value `abc`"), "{err}");
+    // The bounds themselves are percentages.
+    for value in ["0", "100"] {
+        let (_, err, ok) = vscope(&["analyze", file, "--threshold", value]);
+        assert!(ok, "--threshold {value}: {err}");
+    }
+}
+
+/// An option's value is never taken for the positional argument, whatever
+/// the order on the command line.
+#[test]
+fn options_may_precede_the_positional_argument() {
+    let path = write_temp("order.kern", SAXPY);
+    let file = path.to_str().unwrap();
+    let dot = std::env::temp_dir().join("vscope-cli-tests/order.dot");
+    let dot = dot.to_str().unwrap();
+    let (out, err, ok) = vscope(&["ddg", "--out", dot, file]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with(&format!("wrote {dot}")), "{out}");
+    assert!(std::fs::read_to_string(dot)
+        .unwrap()
+        .starts_with("digraph ddg {"));
+    let (out, err, ok) = vscope(&["stats", "--threads", "2", file]);
+    assert!(ok, "{err}");
+    assert!(out.contains("events consumed"), "{out}");
+    let (out, err, ok) = vscope(&["analyze", "--threshold", "5", file]);
+    assert!(ok, "{err}");
+    assert!(out.contains("order.kern"), "{out}");
+}
+
 #[test]
 fn unknown_flags_suggest_the_closest_known_flag() {
     let path = write_temp("hints.kern", SAXPY);

@@ -220,6 +220,19 @@ pub struct SuiteReport {
     pub loops: Vec<LoopReport>,
 }
 
+impl SuiteReport {
+    /// The hot-loop reports with the model vectorizer's *Percent Packed*
+    /// attached to each ([`LoopReport::attach_percent_packed`]).
+    pub fn into_packed_loops(self) -> Vec<LoopReport> {
+        let decisions = vectorscope_autovec::analyze_module(&self.module);
+        let mut loops = self.loops;
+        for report in &mut loops {
+            report.attach_percent_packed(&decisions);
+        }
+        loops
+    }
+}
+
 /// The output of [`analyze_loop`]: the report plus the analyzed DDG.
 #[derive(Debug, Clone)]
 pub struct LoopAnalysis {
@@ -242,9 +255,31 @@ pub struct ProgramAnalysis {
 
 /// Captures and analyzes the entire execution of `main` (used for
 /// whole-benchmark rows like the paper's Table 3, where one number
-/// characterizes the whole kernel rather than a single loop).
+/// characterizes the whole kernel rather than a single loop): [`program_ddg`]
+/// followed by [`analyze_ddg`].
 ///
-/// The DDG is built from the VM's event sink while the program runs, so
+/// # Errors
+///
+/// The errors of [`program_ddg`].
+pub fn analyze_program(
+    module: &Module,
+    options: &AnalysisOptions,
+) -> Result<ProgramAnalysis, Error> {
+    let ddg = program_ddg(module, options)?;
+    let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
+    Ok(ProgramAnalysis {
+        metrics,
+        per_inst,
+        ddg,
+    })
+}
+
+/// Builds the DDG of the entire execution of `main` under `options`'
+/// candidate policy and fuel: the first half of [`analyze_program`], for
+/// callers that inspect the whole-program graph itself (DOT export, the
+/// Kumar profile, memory figures, the figures' partitions).
+///
+/// The graph is built from the VM's event sink while the program runs, so
 /// the trace is never buffered.
 ///
 /// # Errors
@@ -252,18 +287,9 @@ pub struct ProgramAnalysis {
 /// Returns [`Error::Vm`] if execution fails, and [`Error::TraceTooLarge`],
 /// [`Error::MissingAddress`] or [`Error::TooManyOperands`] if the run
 /// cannot be built into a DDG.
-pub fn analyze_program(
-    module: &Module,
-    options: &AnalysisOptions,
-) -> Result<ProgramAnalysis, Error> {
+pub fn program_ddg(module: &Module, options: &AnalysisOptions) -> Result<Ddg, Error> {
     let builder = DdgBuilder::new(module, options.candidate_policy());
-    let ddg = run_sink(module, options, builder, DdgBuilder::push)?.finish()?;
-    let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
-    Ok(ProgramAnalysis {
-        metrics,
-        per_inst,
-        ddg,
-    })
+    Ok(run_sink(module, options, builder, DdgBuilder::push)?.finish()?)
 }
 
 /// Runs `main` once with `sink` fed every event of the whole-program

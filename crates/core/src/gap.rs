@@ -32,7 +32,7 @@ use crate::driver::{analyze_hot_loops, per_program, AnalysisOptions, Error};
 use crate::report::LoopReport;
 use crate::triage::{triage_with_gap, TriageThresholds, Verdict};
 use vectorscope_autovec::affine::scan_loop;
-use vectorscope_autovec::{analyze_module as autovec_analyze, percent_packed, LoopDecision};
+use vectorscope_autovec::{analyze_module as autovec_analyze, LoopDecision};
 use vectorscope_ddg::Ddg;
 use vectorscope_ir::loops::LoopForest;
 use vectorscope_ir::{InstId, Module};
@@ -276,12 +276,7 @@ fn cross_validate(
 ) -> LoopGap {
     let dep = vectorscope_staticdep::analyze_loop(module, report.func, report.loop_id)
         .expect("hot loop exists in the loop forest");
-    let counts: Vec<(InstId, u64)> = report
-        .per_inst
-        .iter()
-        .map(|m| (m.inst, m.instances))
-        .collect();
-    report.percent_packed = Some(percent_packed(decisions, &counts));
+    report.attach_percent_packed(decisions);
 
     let observed_trip = report
         .per_inst

@@ -73,7 +73,7 @@ pub mod stride;
 pub mod triage;
 
 pub use driver::{
-    analyze_loop, analyze_program, analyze_source, analyze_sources, stream_program,
+    analyze_loop, analyze_program, analyze_source, analyze_sources, program_ddg, stream_program,
     AnalysisOptions, Error, InstancePick, LoopAnalysis, ProgramAnalysis, SuiteReport,
 };
 pub use gap::{analyze_gap, analyze_gap_sources, GapSuite, LoopGap};

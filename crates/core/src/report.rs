@@ -1,8 +1,9 @@
 //! Per-loop reports and paper-style table rendering.
 
 use crate::metrics::{InstMetrics, LoopMetrics};
+use vectorscope_autovec::{percent_packed, LoopDecision};
 use vectorscope_ir::loops::LoopId;
-use vectorscope_ir::FuncId;
+use vectorscope_ir::{FuncId, InstId};
 
 /// Analysis results for one hot loop — one row of the paper's tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +42,18 @@ impl LoopReport {
     /// The paper-style loop identifier, e.g. `stencil.kern : 12`.
     pub fn location(&self) -> String {
         format!("{} : {}", self.module_name, self.loop_line)
+    }
+
+    /// Attaches *Percent Packed* from the model vectorizer's `decisions`,
+    /// weighting each instruction by its dynamic instances in
+    /// [`LoopReport::per_inst`].
+    pub fn attach_percent_packed(&mut self, decisions: &[LoopDecision]) {
+        let counts: Vec<(InstId, u64)> = self
+            .per_inst
+            .iter()
+            .map(|m| (m.inst, m.instances))
+            .collect();
+        self.percent_packed = Some(percent_packed(decisions, &counts));
     }
 }
 

@@ -310,13 +310,6 @@ fn moderate_scale_program_analyzes_in_bounds() {
         let p = partition(&ddg, inst, &HashSet::new());
         assert!(p.num_instances() > 0);
     }
-    // Compressed trace round-trips at scale.
-    let packed = trace.to_bytes_compressed();
-    assert_eq!(
-        vectorscope_trace::Trace::from_bytes(&packed).unwrap(),
-        trace
-    );
-    assert!(packed.len() * 2 < trace.to_bytes().len());
 }
 
 /// `analyze_program` builds its DDG from the VM's event sink while the

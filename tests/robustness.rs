@@ -394,3 +394,85 @@ fn more_than_255_operands_is_an_error_not_a_panic() {
     assert_eq!(err, Some(Error::TooManyOperands { inst: gep }));
     assert!(Error::from(want).to_string().contains("255"));
 }
+
+/// The first events of every bundled kernel's run, in the version-1 trace
+/// format `vscope trace` writes, with the module that produced them: the
+/// seeds of the decoder fuzz target below. A small fuel budget caps each
+/// run, so each seed is a prefix of a few thousand events.
+fn fuzz_seeds() -> &'static [(vectorscope_ir::Module, Vec<u8>)] {
+    static SEEDS: std::sync::OnceLock<Vec<(vectorscope_ir::Module, Vec<u8>)>> =
+        std::sync::OnceLock::new();
+    SEEDS.get_or_init(|| {
+        vectorscope_kernels::all_kernels()
+            .into_iter()
+            .map(|kernel| {
+                let module = kernel.compile().unwrap();
+                let options = VmOptions {
+                    fuel: 3_000,
+                    ..VmOptions::default()
+                };
+                let mut vm = Vm::with_options(&module, options);
+                vm.set_capture(CaptureSpec::Program, &kernel.file_name());
+                let _ = vm.run_main(); // most kernels run out of fuel here
+                let bytes = vm.take_trace().unwrap().to_bytes();
+                drop(vm);
+                (module, bytes)
+            })
+            .collect()
+    })
+}
+
+/// The unmutated seeds decode and build, so the fuzz target below does not
+/// pass by rejecting everything.
+#[test]
+fn fuzz_seeds_decode_and_build() {
+    for (module, bytes) in fuzz_seeds() {
+        let trace = vectorscope_trace::Trace::from_bytes(bytes).unwrap();
+        assert!(
+            trace.len() > 100,
+            "{}: {} events",
+            module.name(),
+            trace.len()
+        );
+        Ddg::try_build_with_policy(module, &trace, vectorscope::CandidatePolicy::FloatArith)
+            .unwrap();
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+    /// The trace decoder feeding the DDG builder: a kernel's trace with
+    /// bits flipped and its tail cut decodes and builds to `Ok` or `Err`,
+    /// never a panic.
+    #[test]
+    fn mutated_traces_decode_and_build_without_panics(
+        seed in proptest::strategy::any::<usize>(),
+        flips in proptest::collection::vec(
+            (proptest::strategy::any::<usize>(), 0u32..8),
+            0..6,
+        ),
+        cut in proptest::strategy::any::<usize>(),
+        truncate in proptest::strategy::any::<bool>(),
+        integer_ops in proptest::strategy::any::<bool>(),
+    ) {
+        let seeds = fuzz_seeds();
+        let (module, bytes) = &seeds[seed % seeds.len()];
+        let mut bytes = bytes.clone();
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        if truncate {
+            bytes.truncate(cut % bytes.len());
+        }
+        let policy = if integer_ops {
+            vectorscope::CandidatePolicy::IntAndFloatArith
+        } else {
+            vectorscope::CandidatePolicy::FloatArith
+        };
+        if let Ok(trace) = vectorscope_trace::Trace::from_bytes(&bytes) {
+            let _ = Ddg::try_build_with_policy(module, &trace, policy);
+        }
+    }
+}
