@@ -22,6 +22,7 @@ use crate::partition::timestamp_rows;
 use crate::reduction::reduction_chains;
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
 use std::collections::HashSet;
+use std::mem::size_of;
 use vectorscope_ddg::{reserve_lean, Ddg};
 use vectorscope_ir::{InstId, Module, Span};
 
@@ -151,25 +152,144 @@ pub struct MetricOptions {
 ///
 /// Both the batch engine ([`analyze_ddg`]) and the streaming engine
 /// (`crate::stream`) reduce their work to a `Vec<LaneTuples>` in candidate
-/// first-appearance order, so the stride fan-out and the aggregation
-/// arithmetic (and therefore every float in the report) live in exactly one
-/// place.
+/// first-appearance order, through [`LaneTuples::push`], so the tuple
+/// coding, the stride fan-out and the aggregation arithmetic (and therefore
+/// every float in the report) live in exactly one place.
+///
+/// Tuples are stored delta-coded: each address as the zig-zag varint of
+/// its difference from the same operand of the group's previous tuple.
+/// Strided address streams, the common case, then cost a byte or two per
+/// address instead of eight.
 pub(crate) struct LaneTuples {
-    pub inst: InstId,
+    inst: InstId,
     /// Element size of the instruction's operands, the unit stride.
-    pub elem: u64,
-    /// Addresses per tuple: the instruction's operand count.
-    pub arity: usize,
-    pub reduction: bool,
+    elem: u64,
+    /// Addresses per tuple: the instruction's operand count, or 1 for an
+    /// instruction without operands (each instance then keeps one zero
+    /// address, so it is still counted); 0 before the first tuple.
+    arity: usize,
+    reduction: bool,
     /// `groups[t - 1]` holds the tuples of the partition with timestamp
-    /// `t`, concatenated in execution order, `arity` addresses each.
-    pub groups: Vec<Vec<u64>>,
+    /// `t`.
+    groups: Vec<TupleGroup>,
+    /// The last tuple pushed into each group, `arity` addresses per group:
+    /// what that group's next tuple is coded against.
+    last: Vec<u64>,
+}
+
+/// The tuples of one partition.
+#[derive(Default)]
+struct TupleGroup {
+    /// The tuples in execution order, `arity` zig-zag varints each: every
+    /// address minus the same operand's address in the previous tuple (the
+    /// first tuple against zeros).
+    bytes: Vec<u8>,
+    instances: u32,
 }
 
 impl LaneTuples {
-    fn instances(&self, g: usize) -> usize {
-        self.groups[g].len() / self.arity.max(1)
+    pub fn new(inst: InstId, elem: u64, reduction: bool) -> Self {
+        LaneTuples {
+            inst,
+            elem,
+            arity: 0,
+            reduction,
+            groups: Vec::new(),
+            last: Vec::new(),
+        }
     }
+
+    /// Appends one instance's operand address tuple to the partition with
+    /// timestamp `t` (creating the partitions up to `t`), returning the
+    /// bytes by which the lane's allocations grew.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tuple's length differs from the lane's earlier tuples:
+    /// a static instruction's operand count is fixed.
+    pub fn push(&mut self, t: usize, addrs: impl ExactSizeIterator<Item = u64>) -> usize {
+        let arity = addrs.len().max(1);
+        if self.arity == 0 {
+            self.arity = arity;
+        }
+        assert_eq!(
+            self.arity, arity,
+            "instances of one static instruction must share an operand count"
+        );
+        let outer = |lane: &Self| {
+            lane.groups.capacity() * size_of::<TupleGroup>() + lane.last.capacity() * 8
+        };
+        let before = outer(self);
+        if self.groups.len() < t {
+            self.groups.resize_with(t, TupleGroup::default);
+            self.last.resize(t * arity, 0);
+        }
+        let group = &mut self.groups[t - 1];
+        let held = group.bytes.capacity();
+        let mut last = self.last[(t - 1) * arity..t * arity].iter_mut();
+        for (a, prev) in addrs.zip(last.by_ref()) {
+            write_varint(&mut group.bytes, zigzag(a.wrapping_sub(*prev)));
+            *prev = a;
+        }
+        if last.len() == arity {
+            group.bytes.push(0); // no operands: one zero address
+        }
+        group.instances += 1;
+        group.bytes.capacity() - held + outer(self) - before
+    }
+
+    fn instances(&self, g: usize) -> usize {
+        self.groups[g].instances as usize
+    }
+
+    /// The tuples of partition `g`, concatenated in execution order,
+    /// `arity` addresses each.
+    fn decode(&self, g: usize) -> Vec<u64> {
+        let len = self.instances(g) * self.arity;
+        let mut out: Vec<u64> = Vec::with_capacity(len);
+        let mut bytes = self.groups[g].bytes.iter();
+        for i in 0..len {
+            let prev = if i < self.arity {
+                0
+            } else {
+                out[i - self.arity]
+            };
+            out.push(prev.wrapping_add(unzigzag(read_varint(&mut bytes))));
+        }
+        out
+    }
+}
+
+/// Zig-zag: a wrapped difference as a varint-friendly `u64`, small
+/// whichever way it points.
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Appends `v` in LEB128: seven bits a byte, low bits first.
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn read_varint(bytes: &mut std::slice::Iter<'_, u8>) -> u64 {
+    let mut v = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = *bytes.next().expect("a varint written by write_varint");
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            break;
+        }
+    }
+    v
 }
 
 /// Runs the §3.2/§3.3 stride stages on every partition of every lane and
@@ -198,7 +318,7 @@ pub(crate) fn analyze_lanes(
     let reports: Vec<StrideReport> = rayon_lite::par_map(threads, &shards, |_, &(l, g)| {
         let lane = &lanes[l];
         let payloads = (0..lane.instances(g) as u32).collect();
-        let tuples = SortedTuples::from_flat(&lane.groups[g], payloads, lane.arity);
+        let tuples = SortedTuples::from_flat(&lane.decode(g), payloads, lane.arity);
         analyze_sorted_tuples(&tuples, lane.elem)
     });
     let mut reports = reports.iter();
@@ -313,22 +433,14 @@ pub fn analyze_ddg(
         .collect();
 
     // Walk 1: every candidate instance's timestamp, in execution order
-    // (`insts` are distinct, so each candidate node is one instance), and
-    // each partition's size.
+    // (`insts` are distinct, so each candidate node is one instance).
     let mut stamps: Vec<u32> = Vec::new();
-    let mut sizes: Vec<Vec<u32>> = vec![Vec::new(); insts.len()];
-    timestamp_rows(ddg, &insts, &ignores, |lane, _, t| {
-        let s = &mut sizes[lane];
-        if s.len() < t as usize {
-            s.resize(t as usize, 0);
-        }
-        s[t as usize - 1] += 1;
+    timestamp_rows(ddg, &insts, &ignores, |_, _, t| {
         reserve_lean(&mut stamps, 1);
         stamps.push(t);
     });
 
-    // Walk 2: append each instance's tuple to its partition's arena, sized
-    // exactly at the first instance.
+    // Walk 2: append each instance's tuple to its partition.
     let mut lane_of = vec![u32::MAX; insts.iter().map(|i| i.index() + 1).max().unwrap_or(0)];
     for (l, inst) in insts.iter().enumerate() {
         lane_of[inst.index()] = l as u32;
@@ -336,41 +448,16 @@ pub fn analyze_ddg(
     let mut lanes: Vec<LaneTuples> = insts
         .iter()
         .zip(&chains)
-        .zip(&sizes)
-        .map(|((&inst, chain), sizes)| LaneTuples {
-            inst,
-            elem: ddg.elem_size(inst),
-            arity: 0,
-            reduction: chain.is_some(),
-            groups: vec![Vec::new(); sizes.len()],
-        })
+        .map(|(&inst, chain)| LaneTuples::new(inst, ddg.elem_size(inst), chain.is_some()))
         .collect();
     let mut stamps = stamps.into_iter();
     for (n, writers) in (0..ddg.len() as u32).zip(ddg.operand_rows()) {
         if !ddg.is_candidate(n) {
             continue;
         }
-        let l = lane_of[ddg.inst(n).index()] as usize;
+        let lane = &mut lanes[lane_of[ddg.inst(n).index()] as usize];
         let t = stamps.next().expect("one timestamp per candidate instance") as usize;
-        let lane = &mut lanes[l];
-        // An instruction without operands keeps one zero address per
-        // instance, so its instances are still counted.
-        let arity = writers.len().max(1);
-        if lane.arity == 0 {
-            lane.arity = arity;
-        }
-        debug_assert_eq!(
-            lane.arity, arity,
-            "instances of one static instruction must share an operand count"
-        );
-        let keys = &mut lane.groups[t - 1];
-        if keys.capacity() == 0 {
-            keys.reserve_exact(sizes[l][t - 1] as usize * arity);
-        }
-        keys.extend(writers.iter().map(|&w| ddg.load_addr(w)));
-        if writers.is_empty() {
-            keys.push(0);
-        }
+        lane.push(t, writers.iter().map(|&w| ddg.load_addr(w)));
     }
     analyze_lanes(module, &lanes, options.threads)
 }
@@ -529,5 +616,56 @@ mod tests {
         assert_eq!(m.total_ops, 0);
         assert_eq!(m.avg_concurrency, 0.0);
         assert!(per.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn address() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>(), 0u64..4096]
+    }
+
+    proptest! {
+        /// Delta-coded lane tuples decode to exactly what was pushed, per
+        /// partition and in order, with matching instance counts; an
+        /// operand-less instance keeps one zero address; and `push` reports
+        /// every byte the lane allocated.
+        #[test]
+        fn lane_tuples_round_trip(
+            arity in 0usize..3,
+            pushes in prop::collection::vec((1usize..6, address(), address()), 0..80),
+            fall in 0u64..4096,
+        ) {
+            // Falling runs as well: each operand steps down by `fall`.
+            let falling = (0..8u64).map(|k| (2, (1 << 40) - k * fall, fall.wrapping_sub(k * 16)));
+            let pushes: Vec<(usize, u64, u64)> = pushes.into_iter().chain(falling).collect();
+            let mut lane = LaneTuples::new(InstId(3), 8, false);
+            let mut want: Vec<Vec<u64>> = Vec::new();
+            let mut counts: Vec<usize> = Vec::new();
+            let mut grown = 0;
+            for &(t, a, b) in &pushes {
+                let tuple = &[a, b][..arity];
+                grown += lane.push(t, tuple.iter().copied());
+                if want.len() < t {
+                    want.resize(t, Vec::new());
+                    counts.resize(t, 0);
+                }
+                want[t - 1].extend_from_slice(if arity == 0 { &[0] } else { tuple });
+                counts[t - 1] += 1;
+            }
+            prop_assert_eq!(lane.arity, arity.max(1));
+            prop_assert_eq!(lane.groups.len(), want.len());
+            for (g, tuples) in want.iter().enumerate() {
+                prop_assert_eq!(&lane.decode(g), tuples);
+                prop_assert_eq!(lane.instances(g), counts[g]);
+            }
+            let held = lane.groups.capacity() * size_of::<TupleGroup>()
+                + lane.last.capacity() * 8
+                + lane.groups.iter().map(|g| g.bytes.capacity()).sum::<usize>();
+            prop_assert_eq!(grown, held);
+        }
     }
 }

@@ -17,10 +17,10 @@
 //!   *address tuple* and its partition. Subpartition structure is a
 //!   function of the sorted tuple sequence alone, sorted with unique,
 //!   execution-ordered tie-breakers (within-partition indices), so a
-//!   per-(candidate, timestamp) accumulator of raw tuples filled in
-//!   execution order is all the stride stage needs. The batch engine fills
-//!   the same accumulators from its DDG, and both hand them to one shared
-//!   back end.
+//!   per-(candidate, timestamp) accumulator of tuples filled in execution
+//!   order (delta-coded, `LaneTuples`) is all the stride stage needs. The
+//!   batch engine fills the same accumulators from its DDG, and both hand
+//!   them to one shared back end.
 //!
 //! [`StreamingAnalyzer::consume`] is the push-style endpoint the VM's
 //! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time. It
@@ -148,12 +148,10 @@ struct Partitioner {
     // loses nothing and reproduces `Ddg::candidate_insts` order).
     /// Lane of each candidate instruction, indexed by `InstId`.
     lane_of: Vec<u32>,
-    /// Each lane's accumulators: `groups[timestamp - 1]` collects the
-    /// operand address tuples of that partition's instances, concatenated
-    /// in execution order — 8 bytes per operand, no per-instance
-    /// allocation or header. A lane's arity is fixed (candidates are binary
-    /// arithmetic), which makes the accumulators flat.
+    /// Each lane's accumulators: the operand address tuples of each
+    /// partition's instances, in execution order.
     accum: Vec<LaneTuples>,
+    /// Bytes the accumulators have allocated (capacity, not length).
     accum_bytes: usize,
 
     // --- the pending instance: the max over its operand writers' rows.
@@ -219,32 +217,17 @@ impl Partitioner {
         }
         if self.lane_of[i] == NO_LANE {
             self.lane_of[i] = self.accum.len() as u32;
-            self.accum.push(LaneTuples {
-                inst,
-                elem,
-                arity: self.tuple.len(),
-                reduction: false,
-                groups: Vec::new(),
-            });
+            let held = self.accum.capacity();
+            self.accum.push(LaneTuples::new(inst, elem, false));
+            self.accum_bytes += (self.accum.capacity() - held) * size_of::<LaneTuples>();
         }
         let lane = self.lane_of[i] as usize;
-        debug_assert_eq!(
-            self.accum[lane].arity,
-            self.tuple.len(),
-            "a static instruction's operand count is fixed"
-        );
-        let t = self.lanes.get(lane).copied().unwrap_or(0) as usize + 1;
+        let t = self.lanes.get(lane).copied().unwrap_or(0) + 1;
         if self.lanes.len() <= lane {
             self.lanes.resize(lane + 1, 0);
         }
-        self.lanes[lane] = t as u32;
-        let groups = &mut self.accum[lane].groups;
-        if groups.len() < t {
-            self.accum_bytes += (t - groups.len()) * size_of::<Vec<u64>>();
-            groups.resize_with(t, Vec::new);
-        }
-        self.accum_bytes += 8 * self.tuple.len();
-        groups[t - 1].extend_from_slice(&self.tuple);
+        self.lanes[lane] = t;
+        self.accum_bytes += self.accum[lane].push(t as usize, self.tuple.iter().copied());
     }
 }
 
@@ -363,7 +346,16 @@ impl<'m> StreamingAnalyzer<'m> {
 
 #[cfg(test)]
 mod tests {
+    use super::Lanes;
     use crate::{analyze_program, stream_program, AnalysisOptions};
+    use vectorscope_ddg::resolve::Writer;
+
+    /// A memory cell (a writer with its store width) is 32 bytes: the
+    /// width sits in the padding after the sequence number.
+    #[test]
+    fn cells_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Writer<Lanes>>(), 32);
+    }
 
     /// A returned activation's register frame is released and reused, so
     /// the register shadow does not grow with the number of calls.

@@ -161,19 +161,22 @@ impl CandidatePolicy {
 /// Slots a [`reserve_lean`] step adds at least.
 const LEAN_FLOOR: usize = 4096;
 
-/// Nodes per operand-offset mark: [`Ddg::operand_writers`] adds up at most
-/// `MARK_EVERY - 1` operand counts after the nearest mark.
+/// Nodes per [`Mark`]: one bit of its memory word each, and
+/// [`Ddg::operand_writers`] adds up at most `MARK_EVERY - 1` operand counts
+/// after the nearest mark.
 const MARK_EVERY: usize = 64;
 
 /// Makes room for `additional` more elements in `v`, growing its capacity
 /// by one eighth (at least a few thousand slots) instead of `Vec`'s
 /// doubling.
 ///
-/// The DDG's columns and the partitioner's timestamp-row slab grow to
-/// hundreds of megabytes on whole-program runs; doubling leaves up to half
-/// of each allocation unused, growing by eighths at most a ninth.
+/// The DDG's per-node columns and the partitioner's timestamp-row slab grow
+/// to hundreds of megabytes on whole-program runs; doubling leaves up to
+/// half of each allocation unused, growing by eighths at most a ninth.
 /// Large blocks are resized by remapping pages (glibc uses `mremap`), so
-/// the extra growth steps do not copy the data again.
+/// the extra growth steps do not copy the data again. The floor would
+/// dwarf a small column, so the marks (one entry per 64 nodes) grow with
+/// plain `push`: they stay small next to the per-node columns.
 pub fn reserve_lean<T>(v: &mut Vec<T>, additional: usize) {
     if v.capacity() - v.len() < additional {
         v.reserve_exact((v.capacity() / 8).max(LEAN_FLOOR).max(additional));
@@ -201,6 +204,18 @@ struct InstClass {
     elem: u64,
 }
 
+/// What the graph keeps per [`MARK_EVERY`] nodes, for random access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    /// The `op_writers` offset of the mark's first node.
+    row: u32,
+    /// Memory (load or store) nodes before the mark's first node: the
+    /// `addrs` slot of the first memory node at or after it.
+    rank: u32,
+    /// Bit `i` is set if node `mark * MARK_EVERY + i` is a load or store.
+    memory: u64,
+}
+
 /// The dynamic data-dependence graph of one captured (sub)trace.
 ///
 /// # Example
@@ -226,14 +241,15 @@ struct InstClass {
 pub struct Ddg {
     /// The static instruction of each node.
     insts: Vec<InstId>,
-    /// The dynamic memory address of each node: the accessed address for
-    /// loads and stores, 0 otherwise.
+    /// The accessed address of each load and store node, in node order:
+    /// a memory node's slot is its rank among memory nodes
+    /// ([`Ddg::memory_slot`]). Other nodes have no address to store.
     addrs: Vec<u64>,
     /// The operand count of each node: its row's length in `op_writers`.
     arities: Vec<u8>,
-    /// The `op_writers` offset of every [`MARK_EVERY`]th node (`marks[i]`
-    /// is node `i * MARK_EVERY`'s), for random access.
-    marks: Vec<u32>,
+    /// The operand-row offset, memory rank and memory bits of every
+    /// [`MARK_EVERY`]th node (`marks[i]` is node `i * MARK_EVERY`'s).
+    marks: Vec<Mark>,
     /// Operand writers in operand order, node after node; [`EXTERNAL`]
     /// marks missing ones.
     op_writers: Vec<u32>,
@@ -297,12 +313,13 @@ impl Ddg {
         self.insts.is_empty()
     }
 
-    /// Bytes of the graph's data: the per-node instruction, address and
-    /// operand-count columns, the offset marks, the operand writers and the
-    /// per-instruction class table, counted by length. The columns grow by
-    /// eighths ([`reserve_lean`]), so their allocated capacity exceeds this
-    /// figure by at most an eighth (or a few thousand slots, for a small
-    /// graph). This is the batch
+    /// Bytes of the graph's data, counted by length: the per-node
+    /// instruction and operand-count columns (5 bytes a node), the
+    /// addresses of the load and store nodes (8 bytes each), the marks
+    /// (16 bytes per 64 nodes), the operand writers and the per-instruction
+    /// class table. The large columns grow by eighths ([`reserve_lean`]), so
+    /// their allocated capacity exceeds this figure by at most an eighth
+    /// (or a few thousand slots, for a small graph). This is the batch
     /// engine's peak-memory denominator in the streaming-vs-batch
     /// comparison (`vscope stats` and the memory budget in
     /// `tests/streaming.rs`).
@@ -310,7 +327,7 @@ impl Ddg {
         self.insts.len() * std::mem::size_of::<InstId>()
             + self.addrs.len() * std::mem::size_of::<u64>()
             + self.arities.len()
-            + self.marks.len() * std::mem::size_of::<u32>()
+            + self.marks.len() * std::mem::size_of::<Mark>()
             + self.op_writers.len() * std::mem::size_of::<u32>()
             + self.classes.len() * std::mem::size_of::<Option<InstClass>>()
     }
@@ -328,9 +345,18 @@ impl Ddg {
     /// The dynamic memory address of node `n`, if it is a load or store.
     pub fn addr(&self, n: u32) -> Option<u64> {
         match self.class(n) {
-            NodeClass::Load | NodeClass::Store => Some(self.addrs[n as usize]),
+            NodeClass::Load | NodeClass::Store => Some(self.addrs[self.memory_slot(n)]),
             _ => None,
         }
+    }
+
+    /// The `addrs` slot of memory node `n`: the memory nodes before it, in
+    /// O(1) from its mark's rank and the lower bits of the mark's word.
+    fn memory_slot(&self, n: u32) -> usize {
+        let n = n as usize;
+        let mark = &self.marks[n / MARK_EVERY];
+        let below = mark.memory & ((1u64 << (n % MARK_EVERY)) - 1);
+        mark.rank as usize + below.count_ones() as usize
     }
 
     /// Whether node `n` is a floating-point candidate instance.
@@ -360,7 +386,7 @@ impl Ddg {
     pub fn operand_writers(&self, n: u32) -> &[u32] {
         let n = n as usize;
         let mark = n / MARK_EVERY;
-        let lo = self.marks[mark] as usize
+        let lo = self.marks[mark].row as usize
             + self.arities[mark * MARK_EVERY..n]
                 .iter()
                 .map(|&a| usize::from(a))
@@ -427,7 +453,7 @@ impl Ddg {
     /// if it is a load, else 0 (also for [`EXTERNAL`]).
     pub fn load_addr(&self, w: u32) -> u64 {
         if w != EXTERNAL && self.is_load(w) {
-            self.addrs[w as usize]
+            self.addrs[self.memory_slot(w)]
         } else {
             0
         }
@@ -498,11 +524,11 @@ impl Ddg {
                     "synthetic node {i} references future writer {w}"
                 );
             }
-            let (class, elem) = match n.class {
-                SyntheticClass::Load => (NodeClass::Load, 0),
-                SyntheticClass::Store => (NodeClass::Store, 0),
-                SyntheticClass::Candidate => (NodeClass::Candidate, 8),
-                SyntheticClass::Other => (NodeClass::Other, 0),
+            let (class, elem, addr) = match n.class {
+                SyntheticClass::Load => (NodeClass::Load, 0, Some(n.addr)),
+                SyntheticClass::Store => (NodeClass::Store, 0, Some(n.addr)),
+                SyntheticClass::Candidate => (NodeClass::Candidate, 8, None),
+                SyntheticClass::Other => (NodeClass::Other, 0, None),
             };
             let class = InstClass { class, elem };
             let recorded = out.classify(n.inst, || class);
@@ -523,7 +549,7 @@ impl Ddg {
             });
             reserve_lean(&mut out.op_writers, n.writers.len());
             out.op_writers.extend_from_slice(&n.writers);
-            out.push_node(n.inst, n.addr, arity);
+            out.push_node(n.inst, addr, arity);
         }
         out
     }
@@ -547,7 +573,7 @@ pub enum SyntheticClass {
 pub struct SyntheticNode {
     /// Static instruction id.
     pub inst: InstId,
-    /// Memory address (meaningful for loads/stores; 0 otherwise).
+    /// Memory address (kept for loads and stores; ignored otherwise).
     pub addr: u64,
     /// Classification.
     pub class: SyntheticClass,
@@ -633,19 +659,27 @@ impl Ddg {
     }
 
     /// Appends a node of a classified instruction whose `arity` operand
-    /// writers were pushed onto `op_writers`.
-    fn push_node(&mut self, inst: InstId, addr: u64, arity: u8) {
-        if self.insts.len().is_multiple_of(MARK_EVERY) {
+    /// writers were pushed onto `op_writers`; `addr` is the accessed
+    /// address of a load or store, `None` for other nodes.
+    fn push_node(&mut self, inst: InstId, addr: Option<u64>, arity: u8) {
+        let n = self.insts.len();
+        if n.is_multiple_of(MARK_EVERY) {
             let row = self.op_writers.len() - usize::from(arity);
-            reserve_lean(&mut self.marks, 1);
-            self.marks
-                .push(u32::try_from(row).expect("the resolver bounds operands by u32"));
+            self.marks.push(Mark {
+                row: u32::try_from(row).expect("the resolver bounds operands by u32"),
+                rank: u32::try_from(self.addrs.len()).expect("memory nodes are node ids"),
+                memory: 0,
+            });
+        }
+        if let Some(addr) = addr {
+            let mark = self.marks.last_mut().expect("every node has a mark");
+            mark.memory |= 1 << (n % MARK_EVERY);
+            reserve_lean(&mut self.addrs, 1);
+            self.addrs.push(addr);
         }
         reserve_lean(&mut self.insts, 1);
-        reserve_lean(&mut self.addrs, 1);
         reserve_lean(&mut self.arities, 1);
         self.insts.push(inst);
-        self.addrs.push(addr);
         self.arities.push(arity);
     }
 }
@@ -682,7 +716,11 @@ impl Handler<()> for NodeSink {
             return;
         };
         self.ddg.classify(node.inst.id, || class_of(&node));
-        self.ddg.push_node(node.inst.id, node.addr, arity);
+        let addr = match node.op.access {
+            Access::Load(_) | Access::Store(_) => Some(node.addr),
+            Access::None => None,
+        };
+        self.ddg.push_node(node.inst.id, addr, arity);
     }
 }
 
@@ -944,6 +982,55 @@ mod tests {
             assert_eq!(walked[n], &row[..], "node {n}");
             assert_eq!(ddg.operand_writers(n as u32), &row[..], "node {n}");
         }
+    }
+
+    /// Address lookups by memory rank agree with a dense per-node column
+    /// on a graph whose loads and stores sit on both sides of the mark
+    /// words, with a run of more than 64 nodes holding no memory node.
+    #[test]
+    fn addresses_match_a_dense_column_around_mark_words() {
+        let memory = [0, 63, 64, 65, 127, 128, 300, 301, 383, 384];
+        let nodes: Vec<SyntheticNode> = (0..400u32)
+            .map(|i| {
+                let (inst, class) = match memory.iter().position(|&m| m == i) {
+                    Some(k) if k % 3 == 1 => (1, SyntheticClass::Store),
+                    Some(_) => (0, SyntheticClass::Load),
+                    None if i % 5 == 0 => (2, SyntheticClass::Candidate),
+                    None => (3, SyntheticClass::Other),
+                };
+                let writers = match i {
+                    0 => vec![],
+                    _ => vec![i - 1, (i * 7) % i, EXTERNAL],
+                };
+                SyntheticNode {
+                    inst: InstId(inst),
+                    addr: 0x1000 + u64::from(i) * 24,
+                    class,
+                    writers,
+                }
+            })
+            .collect();
+        let dense: Vec<Option<u64>> = nodes
+            .iter()
+            .map(|n| match n.class {
+                SyntheticClass::Load | SyntheticClass::Store => Some(n.addr),
+                _ => None,
+            })
+            .collect();
+        let loaded = |w: u32| match nodes.get(w as usize) {
+            Some(n) if n.class == SyntheticClass::Load => n.addr,
+            _ => 0,
+        };
+        let ddg = Ddg::synthetic(nodes.clone());
+        assert_eq!(ddg.addrs.len(), memory.len());
+        for (n, node) in nodes.iter().enumerate() {
+            let n = n as u32;
+            assert_eq!(ddg.addr(n), dense[n as usize], "node {n}");
+            assert_eq!(ddg.load_addr(n), loaded(n), "node {n}");
+            let want: Vec<u64> = node.writers.iter().map(|&w| loaded(w)).collect();
+            assert_eq!(ddg.operand_addrs(n), want, "node {n}");
+        }
+        assert_eq!(ddg.load_addr(EXTERNAL), 0);
     }
 
     #[test]

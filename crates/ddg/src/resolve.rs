@@ -16,7 +16,8 @@
 //! Resident state is O(live frames + live cells): one dense register frame
 //! per activation that has not returned (recycled at its `ret`), and a
 //! paged memory shadow: a 4-byte cell index per byte address of each
-//! touched 4 KiB page, plus one cell (writer and width) per written base.
+//! touched 4 KiB page, plus one cell (the last store's writer, with its
+//! width) per written base.
 
 use crate::{checked_node_id, BuildError, CandidatePolicy, EXTERNAL};
 use std::collections::HashMap;
@@ -156,6 +157,9 @@ pub struct Writer<P> {
     /// The writer's sequence number: its DDG node id ([`EXTERNAL`] marks
     /// an empty register slot).
     pub seq: u32,
+    /// A memory cell's store width in bytes (0 in register frames). It
+    /// fills padding next to `seq`, so a cell costs no more than a writer.
+    width: u8,
     /// What the engine recorded for it.
     pub payload: P,
 }
@@ -164,6 +168,7 @@ impl<P: Default> Writer<P> {
     fn empty() -> Self {
         Writer {
             seq: EXTERNAL,
+            width: 0,
             payload: P::default(),
         }
     }
@@ -208,12 +213,6 @@ const PAGE_BITS: u32 = 12;
 /// Byte addresses (slots) per shadow page.
 const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 
-/// The last store at one base address: its writer and width in bytes.
-struct Cell<P> {
-    writer: Writer<P>,
-    size: u8,
-}
-
 fn slot_of(addr: u64) -> usize {
     (addr & (PAGE_SLOTS as u64 - 1)) as usize
 }
@@ -245,7 +244,8 @@ pub struct Resolver<'m, P> {
     /// The page number and page last found through `page_of` (most
     /// accesses fall in the page of the one before).
     last_page: (u64, u32),
-    cells: Vec<Cell<P>>,
+    /// The last store at each written base address.
+    cells: Vec<Writer<P>>,
 
     /// Instances resolved so far (the next sequence number).
     nodes: usize,
@@ -312,7 +312,7 @@ impl<'m, P: Payload> Resolver<'m, P> {
         let memory = self.pages.len() * PAGE_SLOTS * 4
             + self.pages.capacity() * size_of::<Box<[u32]>>()
             + self.page_of.capacity() * (8 + 4)
-            + self.cells.capacity() * size_of::<Cell<P>>();
+            + self.cells.capacity() * size_of::<Writer<P>>();
         let ops = self.ops.ops.capacity() * size_of::<Op<'_>>()
             + self.ops.uses.capacity() * size_of::<Option<RegId>>();
         frames + memory + ops + self.payload_heap
@@ -388,7 +388,12 @@ impl<'m, P: Payload> Resolver<'m, P> {
         if let Access::Store(size) = op.access {
             self.store(addr, size, seq, payload);
         } else if let Some(dst) = op.dst {
-            self.write(frame, dst, Writer { seq, payload });
+            let writer = Writer {
+                seq,
+                width: 0,
+                payload,
+            };
+            self.write(frame, dst, writer);
         }
         Ok(())
     }
@@ -506,7 +511,7 @@ impl<'m, P: Payload> Resolver<'m, P> {
         let hi = addr.saturating_add(size - 1);
         // The window spans at most two pages: scan it page by page.
         let pages = [self.page(lo >> PAGE_BITS), self.page(hi >> PAGE_BITS)];
-        let mut best: Option<&Cell<P>> = None;
+        let mut best: Option<&Writer<P>> = None;
         let mut base = lo;
         loop {
             let last = hi.min(base | (PAGE_SLOTS as u64 - 1));
@@ -518,10 +523,10 @@ impl<'m, P: Payload> Resolver<'m, P> {
                     let Some(cell) = self.cells.get(page[slot_of(b)] as usize) else {
                         continue;
                     };
-                    let width = u64::from(cell.size);
+                    let width = u64::from(cell.width);
                     let reaches =
                         width > 0 && b.checked_add(width - 1).is_none_or(|end| end >= addr);
-                    if reaches && best.is_none_or(|top| cell.writer.seq > top.writer.seq) {
+                    if reaches && best.is_none_or(|top| cell.seq > top.seq) {
                         best = Some(cell);
                     }
                 }
@@ -531,7 +536,7 @@ impl<'m, P: Payload> Resolver<'m, P> {
             }
             base = last + 1;
         }
-        best.map(|c| &c.writer)
+        best
     }
 
     /// The shadow page of page number `number`, if any.
@@ -553,18 +558,19 @@ impl<'m, P: Payload> Resolver<'m, P> {
                 p
             }
         };
-        let cell = Cell {
-            writer: Writer { seq, payload },
-            size: u8::try_from(size).expect("scalar accesses are at most 8 bytes"),
+        let cell = Writer {
+            seq,
+            width: u8::try_from(size).expect("scalar accesses are at most 8 bytes"),
+            payload,
         };
-        self.payload_heap += cell.writer.payload.heap_bytes();
+        self.payload_heap += cell.payload.heap_bytes();
         let handle = &mut self.pages[p as usize][slot_of(addr)];
         if *handle == EXTERNAL {
             *handle = u32::try_from(self.cells.len()).expect("cells are bounded by node ids");
             self.cells.push(cell);
         } else {
             let old = std::mem::replace(&mut self.cells[*handle as usize], cell);
-            self.payload_heap -= old.writer.payload.heap_bytes();
+            self.payload_heap -= old.payload.heap_bytes();
         }
     }
 }
@@ -684,7 +690,7 @@ mod tests {
                 }
                 let mut live = std::collections::HashMap::new();
                 let frames = resolver.frames.iter().flatten().map(|w| &w.payload);
-                let cells = resolver.cells.iter().map(|c| &c.writer.payload);
+                let cells = resolver.cells.iter().map(|c| &c.payload);
                 for a in frames.chain(cells).filter_map(|p| p.0.as_ref()) {
                     live.insert(std::sync::Arc::as_ptr(a), 16 + 4 * a.len());
                 }
