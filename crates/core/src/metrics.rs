@@ -23,7 +23,7 @@ use crate::reduction::reduction_chains;
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
 use std::collections::HashSet;
 use std::mem::size_of;
-use vectorscope_ddg::{reserve_lean, Ddg};
+use vectorscope_ddg::Ddg;
 use vectorscope_ir::{InstId, Module, Span};
 
 /// Metrics for one static candidate instruction.
@@ -405,11 +405,12 @@ pub(crate) fn analyze_lanes(
 /// paper's table metrics.
 ///
 /// Returns the aggregate row plus the per-instruction breakdown (sorted by
-/// instance count, descending). The graph is read in two forward walks:
-/// Algorithm 1 for every candidate at once, then, with the timestamp rows
-/// freed, the gather of each instance's operand address tuple into its
-/// partition's arena. The instances of one static instruction must share an
-/// operand count, as they do in every trace-built graph.
+/// instance count, descending). The graph is read in one forward walk:
+/// Algorithm 1 for every candidate at once, which hands each instance's
+/// timestamp and operand writers over as it is stamped, so its operand
+/// address tuple goes straight into its partition's arena. The instances
+/// of one static instruction must share an operand count, as they do in
+/// every trace-built graph.
 pub fn analyze_ddg(
     module: &Module,
     ddg: &Ddg,
@@ -432,33 +433,16 @@ pub fn analyze_ddg(
         .map(|chain| chain.map(|c| &c.chain_nodes).unwrap_or(&empty))
         .collect();
 
-    // Walk 1: every candidate instance's timestamp, in execution order
-    // (`insts` are distinct, so each candidate node is one instance).
-    let mut stamps: Vec<u32> = Vec::new();
-    timestamp_rows(ddg, &insts, &ignores, |_, _, t| {
-        reserve_lean(&mut stamps, 1);
-        stamps.push(t);
-    });
-
-    // Walk 2: append each instance's tuple to its partition.
-    let mut lane_of = vec![u32::MAX; insts.iter().map(|i| i.index() + 1).max().unwrap_or(0)];
-    for (l, inst) in insts.iter().enumerate() {
-        lane_of[inst.index()] = l as u32;
-    }
+    // `insts` are distinct, so lane `j` is `insts[j]` and each candidate
+    // node is one instance.
     let mut lanes: Vec<LaneTuples> = insts
         .iter()
         .zip(&chains)
         .map(|(&inst, chain)| LaneTuples::new(inst, ddg.elem_size(inst), chain.is_some()))
         .collect();
-    let mut stamps = stamps.into_iter();
-    for (n, writers) in (0..ddg.len() as u32).zip(ddg.operand_rows()) {
-        if !ddg.is_candidate(n) {
-            continue;
-        }
-        let lane = &mut lanes[lane_of[ddg.inst(n).index()] as usize];
-        let t = stamps.next().expect("one timestamp per candidate instance") as usize;
-        lane.push(t, writers.iter().map(|&w| ddg.load_addr(w)));
-    }
+    timestamp_rows(ddg, &insts, &ignores, |j, _, t, writers| {
+        lanes[j].push(t as usize, writers.iter().map(|&w| ddg.load_addr(w)));
+    });
     analyze_lanes(module, &lanes, options.threads)
 }
 

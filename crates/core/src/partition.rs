@@ -138,7 +138,8 @@ pub fn partition(ddg: &Ddg, inst: InstId, ignore_self_deps: &HashSet<u32>) -> Pa
 /// timestamps equal one predecessor's (it forwards that row, the common
 /// case) shares the row, and only candidate instances (their lanes are
 /// bumped) and true merges (the maximum equals no predecessor's row)
-/// allocate one. Row 0 is the all-zero row.
+/// allocate one. Row 0 is the all-zero row, and only the ids of nodes
+/// with another row take a `u32` each.
 ///
 /// `ignore_sets[j]` lists the nodes whose *outgoing* dependence
 /// contributions are ignored while timestamping lane `j` — the reduction
@@ -155,7 +156,7 @@ pub fn partition_all(
     ignore_sets: &[&HashSet<u32>],
 ) -> Vec<Partitions> {
     let mut groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); insts.len()];
-    timestamp_rows(ddg, insts, ignore_sets, |lane, node, t| {
+    timestamp_rows(ddg, insts, ignore_sets, |lane, node, t, _| {
         let g = &mut groups[lane];
         if g.len() < t as usize {
             g.resize_with(t as usize, Vec::new);
@@ -189,15 +190,73 @@ fn row(rows: &[u32], r: u32, k: usize) -> &[u32] {
     &rows[r as usize * k..][..k]
 }
 
+/// Nodes per word of a [`RowMap`].
+const WORD: usize = 64;
+
+/// Each node's timestamp row id, appended in node order.
+///
+/// Most nodes of a whole-program graph hold row 0 (no tracked instance
+/// reaches them: address arithmetic, loop control), so the map keeps one
+/// bit per node, set when its row is not 0, and stores a `u32` only for
+/// those nodes. A node's slot among them is its rank: the count kept per
+/// 64 nodes plus the set bits below it in its word.
+struct RowMap {
+    /// Bit `i` of `words[w]` is set if node `w * WORD + i`'s row is not 0.
+    words: Vec<u64>,
+    /// `ranks[w]`: the nodes with a non-zero row before node `w * WORD`.
+    ranks: Vec<u32>,
+    /// The non-zero rows, in node order.
+    rows: Vec<u32>,
+    len: usize,
+}
+
+impl RowMap {
+    /// An empty map with the words of `nodes` nodes.
+    fn with_nodes(nodes: usize) -> RowMap {
+        let words = nodes.div_ceil(WORD);
+        RowMap {
+            words: vec![0; words],
+            ranks: vec![0; words],
+            rows: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Appends the next node's row.
+    fn push(&mut self, row: u32) {
+        let (w, bit) = (self.len / WORD, self.len % WORD);
+        if bit == 0 {
+            self.ranks[w] = u32::try_from(self.rows.len()).expect("rows are bounded by node ids");
+        }
+        if row != 0 {
+            self.words[w] |= 1 << bit;
+            reserve_lean(&mut self.rows, 1);
+            self.rows.push(row);
+        }
+        self.len += 1;
+    }
+
+    /// The row of node `n`, which must have been pushed.
+    fn get(&self, n: u32) -> u32 {
+        let (w, bit) = (n as usize / WORD, n as usize % WORD);
+        let word = self.words[w];
+        if word >> bit & 1 == 0 {
+            return 0;
+        }
+        let below = (word & ((1u64 << bit) - 1)).count_ones();
+        self.rows[(self.ranks[w] + below) as usize]
+    }
+}
+
 /// The forward scan behind [`partition_all`]: reports every instance of a
-/// lane as `instance(lane, node, timestamp)`, in execution order, and
-/// returns how many timestamp rows it allocated (row 0 included). The row
-/// scratch is freed when it returns.
+/// lane as `instance(lane, node, timestamp, operand_writers)`, in execution
+/// order, and returns how many timestamp rows it allocated (row 0
+/// included). The row scratch is freed when it returns.
 pub(crate) fn timestamp_rows(
     ddg: &Ddg,
     insts: &[InstId],
     ignore_sets: &[&HashSet<u32>],
-    mut instance: impl FnMut(usize, u32, u32),
+    mut instance: impl FnMut(usize, u32, u32, &[u32]),
 ) -> usize {
     assert!(
         ignore_sets.is_empty() || ignore_sets.len() == insts.len(),
@@ -219,6 +278,13 @@ pub(crate) fn timestamp_rows(
         next_lane[j] = first_lane[inst.index()];
         first_lane[inst.index()] = j as u32;
     }
+    let lane_of = |n: u32| {
+        if ddg.is_candidate(n) {
+            first_lane.get(ddg.inst(n).index()).copied().unwrap_or(NONE)
+        } else {
+            NONE
+        }
+    };
     // Union of all ignore sets: the fast path skips per-lane membership
     // checks entirely for predecessors no lane ignores (the common case —
     // reduction chains are short and most runs have none).
@@ -226,9 +292,16 @@ pub(crate) fn timestamp_rows(
         ignore_sets.iter().flat_map(|s| s.iter().copied()).collect();
 
     let v = ddg.len();
-    // `rows[r * k + j]` is lane j of row r; `row_of[n]` is node n's row.
-    let mut rows = vec![0u32; k];
-    let mut row_of: Vec<u32> = Vec::with_capacity(v);
+    // `rows[r * k + j]` is lane j of row r. Every instance allocates a
+    // row, so the slab starts at row 0 plus one row per instance; only
+    // true merges grow it.
+    let instances: usize = (0..table as u32)
+        .filter(|&i| first_lane[i as usize] != NONE)
+        .map(|i| ddg.candidate_instances(InstId(i)))
+        .sum();
+    let mut rows: Vec<u32> = Vec::with_capacity((instances + 1) * k);
+    rows.resize(k, 0);
+    let mut row_of = RowMap::with_nodes(v);
     let mut cur = vec![0u32; k];
     for (n, writers) in (0..v as u32).zip(ddg.operand_rows()) {
         // The node's row so far: row `fwd` while it equals one predecessor
@@ -238,7 +311,7 @@ pub(crate) fn timestamp_rows(
             if p == EXTERNAL {
                 continue;
             }
-            let r = row_of[p as usize];
+            let r = row_of.get(p);
             if r == 0 || r == fwd {
                 continue;
             }
@@ -282,11 +355,7 @@ pub(crate) fn timestamp_rows(
                 }
             }
         }
-        let mut lane = if ddg.is_candidate(n) {
-            first_lane.get(ddg.inst(n).index()).copied().unwrap_or(NONE)
-        } else {
-            NONE
-        };
+        let mut lane = lane_of(n);
         if lane != NONE && fwd != NONE {
             cur.copy_from_slice(row(&rows, fwd, k));
             fwd = NONE;
@@ -294,7 +363,7 @@ pub(crate) fn timestamp_rows(
         while lane != NONE {
             let j = lane as usize;
             cur[j] += 1;
-            instance(j, n, cur[j]);
+            instance(j, n, cur[j], writers);
             lane = next_lane[j];
         }
         if fwd == NONE {
@@ -635,7 +704,7 @@ mod tests {
         let ignore_a: HashSet<u32> = [5].into();
         let none = HashSet::new();
         let parts = partition_all(&ddg, &[a, b], &[&ignore_a, &none]);
-        let rows = timestamp_rows(&ddg, &[a, b], &[&ignore_a, &none], |_, _, _| {});
+        let rows = timestamp_rows(&ddg, &[a, b], &[&ignore_a, &none], |_, _, _, _| {});
         assert_eq!(parts[0].groups, vec![vec![0, 6], vec![3], vec![10]]);
         assert_eq!(parts[1].groups, vec![vec![4], vec![7]]);
         assert_eq!(parts[0], partition(&ddg, a, &ignore_a));
@@ -643,6 +712,61 @@ mod tests {
         // Row 0, one row per candidate instance and one for the true merge
         // at node 9: nodes 1, 2, 5 and 8 share rows.
         assert_eq!(rows, 8);
+    }
+
+    /// Pushes `rows` into a [`RowMap`] and checks every node's row against
+    /// the dense column, and that only non-zero rows are stored.
+    fn check_row_map(rows: &[u32]) {
+        let mut map = RowMap::with_nodes(rows.len());
+        for &r in rows {
+            map.push(r);
+        }
+        for (n, &r) in rows.iter().enumerate() {
+            assert_eq!(map.get(n as u32), r, "node {n} of {}", rows.len());
+        }
+        assert_eq!(map.rows.len(), rows.iter().filter(|&&r| r != 0).count());
+        assert_eq!(map.words.len(), rows.len().div_ceil(WORD));
+    }
+
+    #[test]
+    fn row_map_matches_a_dense_column_around_word_boundaries() {
+        let mut rows = vec![0u32; 200];
+        for (i, n) in [63, 64, 65, 127, 128].into_iter().enumerate() {
+            rows[n] = i as u32 + 1;
+        }
+        check_row_map(&rows);
+        check_row_map(&rows[..129]);
+        // Words of all-zero, all-non-zero, all-zero, alternating and
+        // all-non-zero rows, the last one partial.
+        let blocks: Vec<u32> = (0..WORD as u32 * 4 + 5)
+            .map(|n| match n as usize / WORD {
+                1 => n,
+                3 => n % 2 * 7,
+                4 => NONE - 1,
+                _ => 0,
+            })
+            .collect();
+        check_row_map(&blocks);
+        check_row_map(&[]);
+    }
+
+    proptest! {
+        /// Runs of zero, non-zero and mixed rows, long enough to fill
+        /// whole words of each kind.
+        #[test]
+        fn row_map_matches_a_dense_column(
+            runs in prop::collection::vec((0usize..150, 0u8..3, any::<u32>()), 0..12)
+        ) {
+            let mut rows = Vec::new();
+            for (len, kind, seed) in runs {
+                rows.extend((0..len as u32).map(|i| match kind {
+                    0 => 0,
+                    1 => seed.wrapping_add(i).max(1),
+                    _ => (seed >> (i % 32) & 1) * (seed | 1),
+                }));
+            }
+            check_row_map(&rows);
+        }
     }
 
     #[test]

@@ -170,13 +170,14 @@ const MARK_EVERY: usize = 64;
 /// by one eighth (at least a few thousand slots) instead of `Vec`'s
 /// doubling.
 ///
-/// The DDG's per-node columns and the partitioner's timestamp-row slab grow
-/// to hundreds of megabytes on whole-program runs; doubling leaves up to
-/// half of each allocation unused, growing by eighths at most a ninth.
-/// Large blocks are resized by remapping pages (glibc uses `mremap`), so
-/// the extra growth steps do not copy the data again. The floor would
-/// dwarf a small column, so the marks (one entry per 64 nodes) grow with
-/// plain `push`: they stay small next to the per-node columns.
+/// The DDG's per-node columns grow to hundreds of megabytes on
+/// whole-program runs; doubling leaves up to half of each allocation
+/// unused while they grow, growing by eighths at most a ninth. Large
+/// blocks are resized by remapping pages (glibc uses `mremap`), so the
+/// extra growth steps do not copy the data again. [`DdgBuilder::finish`]
+/// then trims every column to its length. The floor would dwarf a small
+/// column, so the marks (one entry per 64 nodes) grow with plain `push`:
+/// they stay small next to the per-node columns.
 pub fn reserve_lean<T>(v: &mut Vec<T>, additional: usize) {
     if v.capacity() - v.len() < additional {
         v.reserve_exact((v.capacity() / 8).max(LEAN_FLOOR).max(additional));
@@ -202,6 +203,8 @@ struct InstClass {
     /// Element size in bytes of a candidate's operands (0 for the other
     /// classes) — the unit the stride check compares against.
     elem: u64,
+    /// The instruction's nodes (it fits in the entry's padding).
+    nodes: u32,
 }
 
 /// What the graph keeps per [`MARK_EVERY`] nodes, for random access.
@@ -317,9 +320,8 @@ impl Ddg {
     /// instruction and operand-count columns (5 bytes a node), the
     /// addresses of the load and store nodes (8 bytes each), the marks
     /// (16 bytes per 64 nodes), the operand writers and the per-instruction
-    /// class table. The large columns grow by eighths ([`reserve_lean`]), so
-    /// their allocated capacity exceeds this figure by at most an eighth
-    /// (or a few thousand slots, for a small graph). This is the batch
+    /// class table. A graph from [`DdgBuilder::finish`] holds its columns
+    /// at their length, so this is also what it allocates. This is the batch
     /// engine's peak-memory denominator in the streaming-vs-batch
     /// comparison (`vscope stats` and the memory budget in
     /// `tests/streaming.rs`).
@@ -459,6 +461,19 @@ impl Ddg {
         }
     }
 
+    /// The number of candidate instances of `inst` in the graph: its node
+    /// count if it is a candidate, else 0. O(1), from the class table.
+    pub fn candidate_instances(&self, inst: InstId) -> usize {
+        match self.classes.get(inst.index()) {
+            Some(&Some(InstClass {
+                class: NodeClass::Candidate,
+                nodes,
+                ..
+            })) => nodes as usize,
+            _ => 0,
+        }
+    }
+
     /// Element size (in bytes) of values flowing into candidate instances of
     /// `inst` — the unit the stride check compares against.
     pub fn elem_size(&self, inst: InstId) -> u64 {
@@ -466,6 +481,7 @@ impl Ddg {
             Some(&Some(InstClass {
                 class: NodeClass::Candidate,
                 elem,
+                ..
             })) => elem,
             _ => 8,
         }
@@ -530,10 +546,14 @@ impl Ddg {
                 SyntheticClass::Candidate => (NodeClass::Candidate, 8, None),
                 SyntheticClass::Other => (NodeClass::Other, 0, None),
             };
-            let class = InstClass { class, elem };
+            let class = InstClass {
+                class,
+                elem,
+                nodes: 0,
+            };
             let recorded = out.classify(n.inst, || class);
             assert!(
-                recorded == class,
+                (recorded.class, recorded.elem) == (class.class, class.elem),
                 "synthetic node {i} gives instruction #{} the class {:?}, \
                  but an earlier node gave it {:?}",
                 n.inst.0,
@@ -613,7 +633,8 @@ impl<'m> DdgBuilder<'m> {
         }
     }
 
-    /// The graph of the events pushed so far.
+    /// The graph of the events pushed so far, each column trimmed to its
+    /// length.
     ///
     /// # Errors
     ///
@@ -621,7 +642,11 @@ impl<'m> DdgBuilder<'m> {
     pub fn finish(self) -> Result<Ddg, BuildError> {
         match self.nodes.error {
             Some(e) => Err(e),
-            None => Ok(self.nodes.ddg),
+            None => {
+                let mut ddg = self.nodes.ddg;
+                ddg.shrink_to_fit();
+                Ok(ddg)
+            }
         }
     }
 }
@@ -649,13 +674,27 @@ impl Ddg {
         }
     }
 
-    /// The class table entry of `inst`, made from `class` if it has none.
+    /// Frees the columns' growth slack: the finished graph stays live
+    /// through every analysis of it.
+    fn shrink_to_fit(&mut self) {
+        self.insts.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.arities.shrink_to_fit();
+        self.marks.shrink_to_fit();
+        self.op_writers.shrink_to_fit();
+        self.classes.shrink_to_fit();
+    }
+
+    /// The class table entry of `inst`, made from `class` if it has none,
+    /// counting one more node of it.
     fn classify(&mut self, inst: InstId, class: impl FnOnce() -> InstClass) -> InstClass {
         let i = inst.index();
         if i >= self.classes.len() {
             self.classes.resize(i + 1, None);
         }
-        *self.classes[i].get_or_insert_with(class)
+        let entry = self.classes[i].get_or_insert_with(class);
+        entry.nodes += 1;
+        *entry
     }
 
     /// Appends a node of a classified instruction whose `arity` operand
@@ -700,7 +739,11 @@ fn class_of(node: &NodeEvent<'_>) -> InstClass {
             _ => (NodeClass::Other, 0),
         },
     };
-    InstClass { class, elem }
+    InstClass {
+        class,
+        elem,
+        nodes: 0,
+    }
 }
 
 impl Handler<()> for NodeSink {
@@ -1060,6 +1103,32 @@ mod tests {
         assert_eq!(insts.len(), 1);
         assert_eq!(ddg.elem_size(insts[0]), 4);
         let _ = module;
+    }
+
+    #[test]
+    fn candidate_instances_count_each_candidate_instructions_nodes() {
+        let (_, ddg) = program_ddg(
+            r#"
+            const int N = 6;
+            double a[N]; double b[N];
+            void main() {
+                for (int i = 0; i < N; i++) { a[i] = (double)i * 2.0; }
+                for (int i = 1; i < N; i++) { b[i] = a[i] + a[i-1] - 1.0; }
+            }
+        "#,
+        );
+        assert_eq!(ddg.candidate_insts().len(), 3);
+        for i in 0..ddg.classes.len() as u32 + 2 {
+            let inst = InstId(i);
+            let nodes = ddg.candidate_nodes().filter(|&n| ddg.inst(n) == inst);
+            assert_eq!(ddg.candidate_instances(inst), nodes.count(), "#{i}");
+        }
+        let loads = ddg
+            .classes
+            .iter()
+            .flatten()
+            .find(|c| c.class == NodeClass::Load);
+        assert!(loads.is_some_and(|c| c.nodes > 0));
     }
 }
 

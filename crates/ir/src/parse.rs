@@ -450,7 +450,16 @@ fn emit_line(b: &mut FunctionBuilder<'_>, text: &str, is_term: bool, line: u32) 
     let err = |msg: String| ParseError { line, message: msg };
     let bad = |what: &str| err(format!("malformed {what}: `{text}`"));
 
-    // Terminators.
+    // Terminators, which only a block's last line may hold.
+    let terminator = text == "ret"
+        || ["br ", "condbr ", "ret "]
+            .iter()
+            .any(|p| text.starts_with(p));
+    if terminator && !is_term {
+        return Err(err(format!(
+            "terminator `{text}` before the end of its block"
+        )));
+    }
     if let Some(rest) = text.strip_prefix("br ") {
         let t = parse_block_ref(rest).ok_or_else(|| bad("br"))?;
         b.br(t);
@@ -783,6 +792,14 @@ mod tests {
         assert!(e.to_string().contains("line"));
         assert!(parse_module("not a module").is_err());
         assert!(parse_module("").is_err());
+    }
+
+    #[test]
+    fn terminators_end_their_block() {
+        let e =
+            parse_module("module m {\n  fn f() {\n  bb0:\n    ret\n    ret\n  }\n}").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("before the end"), "{e}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn ddg_holds_little_unused_capacity() {
     let held = before - LIVE.load(Relaxed);
     let ratio = held as f64 / data as f64;
     assert!(
-        ratio <= 1.15,
+        ratio <= 1.02,
         "the DDG held {held} B for {data} B of data ({ratio:.2}x)"
     );
 }

@@ -476,3 +476,108 @@ proptest::proptest! {
         }
     }
 }
+
+/// Every bundled kernel's source and the printed IR of its module: the
+/// seeds of the two front-end fuzz targets below. (Both parse unmutated:
+/// the kernels compile everywhere, and `crates/kernels/tests/equivalence.rs`
+/// round-trips and verifies their printed IR.)
+fn text_seeds() -> &'static (Vec<String>, Vec<String>) {
+    static SEEDS: std::sync::OnceLock<(Vec<String>, Vec<String>)> = std::sync::OnceLock::new();
+    SEEDS.get_or_init(|| {
+        vectorscope_kernels::all_kernels()
+            .into_iter()
+            .map(|kernel| {
+                let ir = kernel.compile().unwrap().to_string();
+                (kernel.source, ir)
+            })
+            .unzip()
+    })
+}
+
+/// Applies `mutations`, each `(kind, at, len, from)`, to `seed`: a flipped
+/// bit, a deleted span, a span spliced in from one of `donors` (a token, a
+/// line or a fragment of another kernel), a duplicated line, or a cut
+/// tail.
+fn mutate(seed: &str, donors: &[String], mutations: &[(u8, usize, usize, usize)]) -> String {
+    let mut text = seed.as_bytes().to_vec();
+    for &(kind, at, len, from) in mutations {
+        if text.is_empty() {
+            break;
+        }
+        let at = at % text.len();
+        let len = 1 + len % 32;
+        match kind % 5 {
+            0 => text[at] ^= 1 << (len % 8),
+            1 => {
+                text.drain(at..text.len().min(at + len));
+            }
+            2 => {
+                let donor = donors[from % donors.len()].as_bytes();
+                let start = from / donors.len() % donor.len();
+                let span = &donor[start..donor.len().min(start + len)];
+                text.splice(at..at, span.iter().copied());
+            }
+            3 => {
+                let start = text[..at]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |i| i + 1);
+                let end = text[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(text.len(), |i| at + i + 1);
+                let line = text[start..end].to_vec();
+                let to = from % text.len();
+                text.splice(to..to, line);
+            }
+            _ => text.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&text).into_owned()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+    /// The Kern front end: a bundled kernel's source, mutated, compiles to
+    /// `Ok` or `Err`, never a panic.
+    #[test]
+    fn mutated_sources_compile_without_panics(
+        seed in proptest::strategy::any::<usize>(),
+        mutations in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u8>(),
+                proptest::strategy::any::<usize>(),
+                proptest::strategy::any::<usize>(),
+                proptest::strategy::any::<usize>(),
+            ),
+            1..5,
+        ),
+    ) {
+        let (sources, _) = text_seeds();
+        let source = mutate(&sources[seed % sources.len()], sources, &mutations);
+        let _ = vectorscope_frontend::compile("fuzz.kern", &source);
+    }
+
+    /// The textual IR parser and the verifier: a bundled kernel's printed
+    /// IR, mutated, parses and verifies to `Ok` or `Err`, never a panic.
+    #[test]
+    fn mutated_ir_parses_and_verifies_without_panics(
+        seed in proptest::strategy::any::<usize>(),
+        mutations in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u8>(),
+                proptest::strategy::any::<usize>(),
+                proptest::strategy::any::<usize>(),
+                proptest::strategy::any::<usize>(),
+            ),
+            1..5,
+        ),
+    ) {
+        let (_, irs) = text_seeds();
+        let text = mutate(&irs[seed % irs.len()], irs, &mutations);
+        if let Ok(module) = vectorscope_ir::parse::parse_module(&text) {
+            let _ = vectorscope_ir::verify::verify_module(&module);
+        }
+    }
+}
