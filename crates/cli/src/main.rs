@@ -75,10 +75,7 @@ const ANALYSIS_OPTIONS: &[&str] = &["--threshold", "--threads"];
 /// Every subcommand and the flags it accepts.
 const SUBCOMMANDS: &[(&str, Flags)] = &[
     ("analyze", flags(true, &["--verbose", "--json"], &[])),
-    (
-        "stats",
-        flags(false, &["--integer-ops", "--json"], &["--threads"]),
-    ),
+    ("stats", flags(false, &["--integer-ops", "--json"], &[])),
     ("profile", flags(false, &["--phases"], &[])),
     ("vectorize", flags(false, &[], &[])),
     ("trace", flags(false, &[], &["--out"])),
@@ -389,14 +386,7 @@ fn cmd_profile(rest: &[String]) -> CliResult {
         let ddg = program_ddg(&module, &AnalysisOptions::default())?;
         let capture_time = t2.elapsed();
         let t3 = std::time::Instant::now();
-        let _ = vectorscope::metrics::analyze_ddg(
-            &module,
-            &ddg,
-            &vectorscope::metrics::MetricOptions {
-                break_reductions: false,
-                threads: 1,
-            },
-        );
+        let _ = vectorscope::metrics::analyze_ddg(&module, &ddg, &Default::default());
         let analysis_time = t3.elapsed();
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         println!("phase breakdown (wall clock):");

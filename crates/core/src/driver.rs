@@ -149,9 +149,9 @@ pub struct AnalysisOptions {
     pub include_integer_ops: bool,
     /// VM instruction budget per run.
     pub fuel: u64,
-    /// Worker threads for the analysis engine (per-(loop, instance)
-    /// sub-trace analyses, per-(candidate, partition) stride shards, and
-    /// batch runs). `0` resolves via [`rayon_lite::resolve_threads`]: the
+    /// Worker threads for the analysis engine: the programs of a batch
+    /// ([`analyze_sources`]) and, within one program, its hot loops. `0`
+    /// resolves via [`rayon_lite::resolve_threads`]: the
     /// `VSCOPE_THREADS` environment variable if set to a positive integer,
     /// else the machine's available parallelism, clamped to ≥ 1. Reports
     /// are bit-identical at every thread count.
@@ -186,17 +186,7 @@ impl AnalysisOptions {
     fn metric_options(&self) -> MetricOptions {
         MetricOptions {
             break_reductions: self.break_reductions,
-            threads: self.threads,
-        }
-    }
-
-    /// Metric options for code already running *inside* a worker: the
-    /// stride stage stays single-threaded there, so an outer fan-out does
-    /// not multiply into nested thread explosions.
-    fn worker_metric_options(&self) -> MetricOptions {
-        MetricOptions {
-            break_reductions: self.break_reductions,
-            threads: 1,
+            ..MetricOptions::default()
         }
     }
 
@@ -464,9 +454,7 @@ pub(crate) fn analyze_hot_loops<T: Send>(
 ///
 /// Results come back in `select`'s order, and a worker's failure surfaces
 /// as the lowest-indexed error, so the output is identical to the
-/// sequential engine's at every thread count. The stride stage inside each
-/// worker stays single-threaded ([`AnalysisOptions::worker_metric_options`])
-/// unless there is only one loop to analyze.
+/// sequential engine's at every thread count.
 fn analyze_loops<T: Send>(
     module: &Module,
     options: &AnalysisOptions,
@@ -519,15 +507,9 @@ fn analyze_loops<T: Send>(
         .zip(n_traces)
         .map(|(p, n)| (p, traces.by_ref().take(n).collect()))
         .collect();
-    let metric_options = if work.len() > 1 {
-        options.worker_metric_options()
-    } else {
-        options.metric_options()
-    };
     rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
         let (ddg, metrics, per_inst) =
-            best_of_traces(module, options, &metric_options, loop_traces)?
-                .ok_or_else(|| empty_trace(p))?;
+            best_of_traces(module, options, loop_traces)?.ok_or_else(|| empty_trace(p))?;
         let (func, loop_id) = (p.key.func, p.key.loop_id);
         let report = LoopReport {
             module_name: module.name().to_string(),
@@ -575,7 +557,6 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
 fn best_of_traces(
     module: &Module,
     options: &AnalysisOptions,
-    metric_options: &MetricOptions,
     traces: &[Trace],
 ) -> Result<Option<(Ddg, LoopMetrics, Vec<InstMetrics>)>, Error> {
     let mut best: Option<(Ddg, LoopMetrics, Vec<InstMetrics>)> = None;
@@ -584,7 +565,7 @@ fn best_of_traces(
             continue;
         }
         let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
-        let (metrics, per_inst) = analyze_ddg(module, &ddg, metric_options);
+        let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
         if best
             .as_ref()
             .is_none_or(|(_, m, _)| metrics.total_ops > m.total_ops)

@@ -33,10 +33,10 @@
 //! visible.
 //!
 //! Stages 5–7 run on a deterministic work pool (`rayon_lite`, vendored):
-//! per-(loop, instance) sub-traces, per-(candidate, partition) stride
-//! shards, and whole programs in a batch ([`analyze_sources`]) fan out
-//! across [`AnalysisOptions::threads`] workers, and every report is
-//! **byte-identical at every thread count** — a contract enforced by the
+//! the hot loops of one program and the programs of a batch
+//! ([`analyze_sources`]) fan out across [`AnalysisOptions::threads`]
+//! workers (the stride stages run serially inside them), and every report
+//! is **byte-identical at every thread count** — a contract enforced by the
 //! `determinism` differential test suite and the `golden` snapshots.
 //!
 //! # Quick start

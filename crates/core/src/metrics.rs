@@ -20,7 +20,7 @@
 
 use crate::partition::timestamp_rows;
 use crate::reduction::reduction_chains;
-use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
+use crate::stride::{analyze_sorted_tuples, SortedTuples};
 use std::collections::HashSet;
 use std::mem::size_of;
 use vectorscope_ddg::Ddg;
@@ -139,11 +139,8 @@ pub struct MetricOptions {
     /// partitioning (the paper's proposed extension; off by default to
     /// match the published tables).
     pub break_reductions: bool,
-    /// Worker threads for the stride stage (the §3.2/§3.3 per-partition
-    /// sorting and waitlist scans, sharded by (candidate, partition)).
-    /// `0` resolves via [`rayon_lite::resolve_threads`] (the
-    /// `VSCOPE_THREADS` environment variable, else available parallelism).
-    /// Results are bit-identical at every thread count.
+    /// Ignored: the stride stage runs on the calling thread. The field
+    /// stays only so existing callers compile, and nothing reads it.
     pub threads: usize,
 }
 
@@ -153,7 +150,7 @@ pub struct MetricOptions {
 /// Both the batch engine ([`analyze_ddg`]) and the streaming engine
 /// (`crate::stream`) reduce their work to a `Vec<LaneTuples>` in candidate
 /// first-appearance order, through [`LaneTuples::push`], so the tuple
-/// coding, the stride fan-out and the aggregation arithmetic (and therefore
+/// coding, the stride stages and the aggregation arithmetic (and therefore
 /// every float in the report) live in exactly one place.
 ///
 /// Tuples are stored delta-coded: each address as the zig-zag varint of
@@ -295,34 +292,20 @@ fn read_varint(bytes: &mut std::slice::Iter<'_, u8>) -> u64 {
 /// Runs the §3.2/§3.3 stride stages on every partition of every lane and
 /// aggregates the paper's table metrics — the back end both engines share.
 ///
-/// Each (lane, partition) pair is an independent sort + wait-list scan
-/// over its own tuple arena, so the shards fan across `threads` workers;
-/// `par_map` hands results back in shard order. The payloads are
-/// within-partition indices: unique and in execution order, which is all
-/// the subpartition structure depends on.
+/// Each partition is decoded, sorted and scanned in turn, and its
+/// [`StrideReport`](crate::stride::StrideReport) is folded into its lane's
+/// totals at once, so only one partition's scratch is alive at a time.
+/// The payloads are within-partition indices: unique and in execution
+/// order, which is all the subpartition structure depends on.
 ///
 /// This is the single source of truth for the report arithmetic: per-lane
 /// totals accumulate in lane order, `per_inst` is stably sorted by instance
 /// count (descending), and every ratio is computed from `u64` totals — so
-/// the report is byte-identical at every thread count and for both engines.
+/// the report is byte-identical for both engines.
 pub(crate) fn analyze_lanes(
     module: &Module,
     lanes: &[LaneTuples],
-    threads: usize,
 ) -> (LoopMetrics, Vec<InstMetrics>) {
-    let shards: Vec<(usize, usize)> = lanes
-        .iter()
-        .enumerate()
-        .flat_map(|(l, lane)| (0..lane.groups.len()).map(move |g| (l, g)))
-        .collect();
-    let reports: Vec<StrideReport> = rayon_lite::par_map(threads, &shards, |_, &(l, g)| {
-        let lane = &lanes[l];
-        let payloads = (0..lane.instances(g) as u32).collect();
-        let tuples = SortedTuples::from_flat(&lane.decode(g), payloads, lane.arity);
-        analyze_sorted_tuples(&tuples, lane.elem)
-    });
-    let mut reports = reports.iter();
-
     let mut per_inst = Vec::new();
     let mut vec_lengths = VecLengthHistogram::default();
     let mut total_ops = 0u64;
@@ -351,7 +334,10 @@ pub(crate) fn analyze_lanes(
             non_unit_subparts: 0,
             reduction: lane.reduction,
         };
-        for report in reports.by_ref().take(partitions) {
+        for g in 0..partitions {
+            let payloads = (0..lane.instances(g) as u32).collect();
+            let tuples = SortedTuples::from_flat(&lane.decode(g), payloads, lane.arity);
+            let report = analyze_sorted_tuples(&tuples, lane.elem);
             m.unit_ops += report.unit_ops() as u64;
             m.unit_subparts += report.unit.len() as u64;
             m.non_unit_ops += report.non_unit_ops() as u64;
@@ -443,7 +429,7 @@ pub fn analyze_ddg(
     timestamp_rows(ddg, &insts, &ignores, |j, _, t, writers| {
         lanes[j].push(t as usize, writers.iter().map(|&w| ddg.load_addr(w)));
     });
-    analyze_lanes(module, &lanes, options.threads)
+    analyze_lanes(module, &lanes)
 }
 
 #[cfg(test)]

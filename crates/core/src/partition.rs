@@ -47,11 +47,6 @@ impl Partitions {
         }
         self.num_instances() as f64 / self.groups.len() as f64
     }
-
-    /// The largest partition size.
-    pub fn max_size(&self) -> usize {
-        self.groups.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Runs Algorithm 1 for static instruction `inst` over `ddg`.

@@ -314,21 +314,21 @@ impl<'m> StreamingAnalyzer<'m> {
     /// Closes the stream: runs the shared stride core over the accumulated
     /// partitions and assembles the report.
     ///
-    /// `options.threads` fans the per-(candidate, partition) stride shards
-    /// exactly like the batch engine; `options.break_reductions` is
-    /// ignored (reduction chains are a whole-graph property).
+    /// The options are ignored: `break_reductions` because reduction chains
+    /// are a whole-graph property, and `threads` because the stride stage
+    /// runs on the calling thread. The argument stays only so existing
+    /// callers compile.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::TraceTooLarge`] if the stream held more
     /// instances than `u32` node ids can express — the same limit, surfaced
     /// the same way, as the batch builder.
-    pub fn finish(self, options: &MetricOptions) -> Result<StreamOutcome, BuildError> {
+    pub fn finish(self, _options: &MetricOptions) -> Result<StreamOutcome, BuildError> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let (metrics, per_inst) =
-            analyze_lanes(self.module, &self.partitioner.accum, options.threads);
+        let (metrics, per_inst) = analyze_lanes(self.module, &self.partitioner.accum);
         let stats = StreamStats {
             nodes: self.resolver.nodes() as u64,
             candidate_instances: per_inst.iter().map(|m| m.instances).sum(),

@@ -16,14 +16,8 @@
 //! that a data-layout transformation (array transposition, AoS→SoA) would
 //! unlock vectorization — the basis of the milc and bwaves case studies.
 //!
-//! This module is the engine's hot path and its **parallel shard unit**:
-//! the stride stages of one partition are a pure function of that
-//! partition's sorted tuple arena. Both engines gather the arenas in
-//! execution order before the stage runs, so a shard never reads the DDG,
-//! owns all its scratch and mutates nothing; the metrics layer fans
-//! (candidate, partition) shards across worker threads and the result is
-//! bit-identical at any thread count. Keep it pure — a cache or shared
-//! scratch buffer added here would silently break that contract.
+//! Both engines gather each partition's tuples in execution order and run
+//! the stages over that arena (`metrics::analyze_lanes`).
 //! [`analyze_partition`], [`unit_stride`] and [`non_unit_stride`] gather
 //! one partition's tuples from the DDG by node id; they serve tools and
 //! tests.
@@ -60,15 +54,6 @@ impl StrideReport {
             0.0
         } else {
             self.unit_ops() as f64 / self.unit.len() as f64
-        }
-    }
-
-    /// Average size of non-unit-stride subpartitions (0.0 when none).
-    pub fn avg_non_unit_size(&self) -> f64 {
-        if self.non_unit.is_empty() {
-            0.0
-        } else {
-            self.non_unit_ops() as f64 / self.non_unit.len() as f64
         }
     }
 }
@@ -605,6 +590,50 @@ mod proptests {
                         .collect();
                     prop_assert_eq!(&d, &delta, "stride changed inside subpartition");
                 }
+            }
+        }
+
+        /// Both stages together: every instance lands in exactly one of
+        /// `unit`, `non_unit` and `singletons`; each unit group has at
+        /// least two instances and constant per-operand deltas of 0 or the
+        /// element size; each non-unit group has at least two instances
+        /// and constant per-operand deltas.
+        #[test]
+        fn analyze_partition_is_sound_and_complete(
+            pairs in prop::collection::vec((0u64..512, 0u64..512), 1..40),
+        ) {
+            let pairs: Vec<(u64, u64)> =
+                pairs.into_iter().map(|(a, b)| (a * 8, b * 8)).collect();
+            let (ddg, cands) = ddg_of_pairs(&pairs);
+            let report = analyze_partition(&ddg, &cands, 8);
+
+            let mut seen = std::collections::HashSet::new();
+            let groups = report.unit.iter().chain(&report.non_unit);
+            for &n in groups.flatten().chain(&report.singletons) {
+                prop_assert!(seen.insert(n), "node {} placed twice", n);
+            }
+            prop_assert_eq!(seen.len(), cands.len());
+            prop_assert!(cands.iter().all(|n| seen.contains(n)));
+
+            // The constant per-operand delta of a group, if it has one.
+            let deltas = |group: &[u32]| -> Option<Vec<i64>> {
+                let tuples: Vec<Vec<u64>> =
+                    group.iter().map(|&n| ddg.operand_addrs(n)).collect();
+                let step = |w: &[Vec<u64>]| -> Vec<i64> {
+                    w[0].iter().zip(&w[1]).map(|(a, b)| *b as i64 - *a as i64).collect()
+                };
+                let first = step(&tuples[..2]);
+                tuples.windows(2).all(|w| step(w) == first).then_some(first)
+            };
+            for group in &report.unit {
+                prop_assert!(group.len() >= 2);
+                let delta = deltas(group);
+                prop_assert!(delta.is_some(), "unit group changed stride: {:?}", group);
+                prop_assert!(delta.unwrap().iter().all(|&d| d == 0 || d == 8));
+            }
+            for group in &report.non_unit {
+                prop_assert!(group.len() >= 2);
+                prop_assert!(deltas(group).is_some(), "non-unit group changed stride: {:?}", group);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The engine's contract is that `SuiteReport`s are **bit-deterministic at
 //! any thread count**: workers write into pre-indexed slots and nothing is
 //! reduced in completion order, so the rendered JSON must be byte-identical
-//! whether the analysis ran on 1, 2, or 7 threads (7 exceeds the shard
+//! whether the analysis ran on 1, 2, or 7 threads (7 exceeds the hot-loop
 //! count of most kernels, so the over-subscribed path is exercised too).
 //! These tests enforce that over every bundled kernel and over
 //! proptest-generated random programs.

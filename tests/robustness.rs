@@ -262,8 +262,8 @@ fn threads_zero_clamps_to_available_parallelism() {
     assert_eq!(at(0), at(1));
 }
 
-/// More threads than shards: the pool spawns at most one worker per work
-/// item, so a huge `threads` value on a tiny kernel must neither hang nor
+/// More threads than work items: the pool spawns at most one worker per
+/// work item, so a huge `threads` value on a tiny kernel must neither hang nor
 /// change the result.
 #[test]
 fn threads_beyond_shard_count_is_safe() {

@@ -78,36 +78,23 @@ fn captured_loops(name: &str, source: &str) -> (Module, Vec<CapturedLoop>) {
 
 /// Feeds `trace` through a fresh [`StreamingAnalyzer`] and checks its
 /// metrics, per-instruction rows and node count against [`analyze_ddg`]
-/// over the DDG of the same trace, at 1, 2 and 7 stride threads (7 exceeds
-/// the shard count of most sub-traces, exercising over-subscription).
+/// over the DDG of the same trace.
 fn stream_and_compare(module: &Module, trace: &Trace, what: &str) -> StreamOutcome {
     let policy = CandidatePolicy::FloatArith;
     let ddg = Ddg::try_build_with_policy(module, trace, policy).unwrap();
-    let [first, _, _] = [1usize, 2, 7].map(|threads| {
-        let options = MetricOptions {
-            break_reductions: false,
-            threads,
-        };
-        let (metrics, per_inst) = analyze_ddg(module, &ddg, &options);
-        let mut analyzer = StreamingAnalyzer::new(module, policy);
-        for event in trace {
-            analyzer.consume(event);
-        }
-        let streamed = analyzer
-            .finish(&options)
-            .unwrap_or_else(|e| panic!("{what}: streaming failed: {e}"));
-        assert_eq!(
-            metrics, streamed.metrics,
-            "{what}: metrics diverged at {threads} threads"
-        );
-        assert_eq!(
-            per_inst, streamed.per_inst,
-            "{what}: per-inst diverged at {threads} threads"
-        );
-        assert_eq!(ddg.len(), streamed.nodes, "{what}: node count diverged");
-        streamed
-    });
-    first
+    let options = MetricOptions::default();
+    let (metrics, per_inst) = analyze_ddg(module, &ddg, &options);
+    let mut analyzer = StreamingAnalyzer::new(module, policy);
+    for event in trace {
+        analyzer.consume(event);
+    }
+    let streamed = analyzer
+        .finish(&options)
+        .unwrap_or_else(|e| panic!("{what}: streaming failed: {e}"));
+    assert_eq!(metrics, streamed.metrics, "{what}: metrics diverged");
+    assert_eq!(per_inst, streamed.per_inst, "{what}: per-inst diverged");
+    assert_eq!(ddg.len(), streamed.nodes, "{what}: node count diverged");
+    streamed
 }
 
 /// Streams every captured sub-trace of `l` (see [`stream_and_compare`])
