@@ -1,16 +1,15 @@
-//! End-to-end driver: source → hot loops → sub-traces → reports.
+//! End-to-end driver: source → hot loops → sink-built DDGs → reports.
 
 use crate::metrics::{analyze_ddg, InstMetrics, LoopMetrics, MetricOptions};
 use crate::report::LoopReport;
 use crate::stream::{StreamOutcome, StreamingAnalyzer};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Mutex;
 use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg, DdgBuilder};
 use vectorscope_frontend::CompileError;
 use vectorscope_interp::{CaptureSpec, Engine, LoopKey, LoopProfile, Vm, VmError, VmOptions};
 use vectorscope_ir::loops::LoopId;
 use vectorscope_ir::{FuncId, InstId, Module};
-use vectorscope_trace::Trace;
+use vectorscope_trace::TraceEvent;
 
 /// Any failure of the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,10 +25,9 @@ pub enum Error {
         /// The loop's source line.
         line: u32,
     },
-    /// An armed capture handed back no trace (a pipeline invariant was
-    /// violated, e.g. by a VM whose capture state was consumed early).
-    /// Reported as an error instead of panicking so one bad analysis in a
-    /// batch cannot take down the others.
+    /// An armed capture handed back no trace. No product path constructs
+    /// it (every driver capture is a sink); it stays while the pipeline
+    /// benchmark's replica of the driver still names it.
     TraceUnavailable {
         /// What the missing trace was supposed to cover.
         what: String,
@@ -279,30 +277,29 @@ pub fn analyze_program(
 /// cannot be built into a DDG.
 pub fn program_ddg(module: &Module, options: &AnalysisOptions) -> Result<Ddg, Error> {
     let builder = DdgBuilder::new(module, options.candidate_policy());
-    Ok(run_sink(module, options, builder, DdgBuilder::push)?.finish()?)
+    let sink = [(CaptureSpec::Program, builder)];
+    let builder = run_sinks(module, options, sink, DdgBuilder::push)?.remove(0);
+    Ok(builder.finish()?)
 }
 
-/// Runs `main` once with `sink` fed every event of the whole-program
-/// capture through `push`, and hands the sink back.
-fn run_sink<'m, S: 'm>(
+/// The one capture path: runs `main` once with every `(spec, sink)` of
+/// `sinks` armed on one VM, each fed its spec's events through `push`, and
+/// hands the sinks back in arming order. A sink costs one boxed call per
+/// event it receives.
+fn run_sinks<'m, S: 'm>(
     module: &'m Module,
     options: &AnalysisOptions,
-    sink: S,
-    push: fn(&mut S, &vectorscope_trace::TraceEvent),
-) -> Result<S, Error> {
-    let cell = Rc::new(RefCell::new(sink));
-    let sink_cell = Rc::clone(&cell);
+    sinks: impl IntoIterator<Item = (CaptureSpec, S)>,
+    push: fn(&mut S, &TraceEvent),
+) -> Result<Vec<S>, Error> {
+    let (specs, mut sinks): (Vec<CaptureSpec>, Vec<S>) = sinks.into_iter().unzip();
     let mut vm = Vm::with_options(module, options.vm_options());
-    vm.add_sink(
-        CaptureSpec::Program,
-        Box::new(move |e| push(&mut sink_cell.borrow_mut(), e)),
-    );
+    for (spec, sink) in specs.into_iter().zip(&mut sinks) {
+        vm.add_sink(spec, Box::new(move |e| push(sink, e)));
+    }
     vm.run_main()?;
-    drop(vm); // releases the sink closure's Rc clone
-    Ok(Rc::try_unwrap(cell)
-        .ok()
-        .expect("sink closure dropped with the VM")
-        .into_inner())
+    drop(vm); // ends the closures' borrows of `sinks`
+    Ok(sinks)
 }
 
 /// Streams the entire execution of `main` through the bounded-memory
@@ -310,7 +307,7 @@ fn run_sink<'m, S: 'm>(
 /// [`analyze_program`] that never materializes a trace or DDG, returning
 /// byte-identical metrics plus the engine's observability counters
 /// ([`crate::StreamStats`]). This is what `vscope stats` runs; hot-loop
-/// analysis ([`analyze_source`]) always builds each sub-trace's DDG.
+/// analysis ([`analyze_source`]) always builds DDGs.
 ///
 /// `break_reductions` is ignored: reduction chains are found on the whole
 /// graph before timestamping, which a one-pass engine does not have. Use
@@ -323,19 +320,19 @@ fn run_sink<'m, S: 'm>(
 /// builder).
 pub fn stream_program(module: &Module, options: &AnalysisOptions) -> Result<StreamOutcome, Error> {
     let analyzer = StreamingAnalyzer::new(module, options.candidate_policy());
-    let analyzer = run_sink(module, options, analyzer, StreamingAnalyzer::consume)?;
+    let sink = [(CaptureSpec::Program, analyzer)];
+    let analyzer = run_sinks(module, options, sink, StreamingAnalyzer::consume)?.remove(0);
     Ok(analyzer.finish(&options.metric_options())?)
 }
 
 /// Compiles `source`, profiles a full run of `main`, selects hot loops
-/// (≥ `hot_threshold_pct` of cycles, the paper's §4.1 rule), captures one
-/// sub-trace per hot loop, and analyzes each.
+/// (≥ `hot_threshold_pct` of cycles, the paper's §4.1 rule), builds the
+/// DDG of each sampled instance of each hot loop, and analyzes the
+/// representative instance of each.
 ///
-/// The capture phase executes the program exactly **once** regardless of
-/// how many hot loops or sampled instances there are: every sampled
-/// (loop, instance) pair is armed as its own simultaneous [`CaptureSpec`]
-/// on a single VM, so the whole analysis costs two executions total
-/// (profile + capture) instead of one per sampled instance.
+/// Every sampled (loop, instance) pair is its own [`DdgBuilder`] sink on
+/// one VM, so the analysis costs two executions (profile + capture) however
+/// many instances are sampled, and never buffers a trace.
 ///
 /// # Errors
 ///
@@ -347,7 +344,7 @@ pub fn analyze_source(
     options: &AnalysisOptions,
 ) -> Result<SuiteReport, Error> {
     let module = vectorscope_frontend::compile(name, source)?;
-    let loops = analyze_hot_loops(&module, options, |report, _| Ok(report))?;
+    let loops = analyze_hot_loops(&module, options, |report, _| report)?;
     Ok(SuiteReport { module, loops })
 }
 
@@ -392,7 +389,8 @@ pub(crate) fn per_program<T: Send>(
     })
 }
 
-/// Captures and analyzes one dynamic instance of one loop of `module`.
+/// Analyzes the dynamic instance of one loop of `module` that
+/// [`AnalysisOptions::loop_instance`] picks.
 ///
 /// Runs a profiling pass first so the report's *Percent Cycles* is filled
 /// in.
@@ -416,8 +414,9 @@ pub fn analyze_loop(
         let profiles = vm.profiler().profiles(module, vm.forests());
         profiles.into_iter().filter(|p| p.key == key).collect()
     };
-    let mut analyses = analyze_loops(module, options, select, |report, ddg| {
-        Ok(LoopAnalysis { report, ddg })
+    let mut analyses = analyze_loops(module, options, select, |report, ddg| LoopAnalysis {
+        report,
+        ddg,
     })?;
     Ok(analyses
         .pop()
@@ -430,7 +429,7 @@ pub fn analyze_loop(
 pub(crate) fn analyze_hot_loops<T: Send>(
     module: &Module,
     options: &AnalysisOptions,
-    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+    per_loop: impl Fn(LoopReport, Ddg) -> T + Sync,
 ) -> Result<Vec<T>, Error> {
     let select = |vm: &Vm<'_>| {
         let hot = vm
@@ -447,19 +446,19 @@ pub(crate) fn analyze_hot_loops<T: Send>(
 ///
 /// Profiles a run of `main` and takes the loops `select` picks from it.
 /// Then every sampled instance of every picked loop is armed as its own
-/// [`CaptureSpec`] on one VM, and `main` runs once more. The per-loop
-/// analyses fan out across the work pool: each worker builds the DDG of
-/// every sub-trace of its loop, keeps the representative one, assembles
-/// the report row and hands the row and that DDG, by value, to `per_loop`.
+/// [`DdgBuilder`] sink, and `main` runs once more. Each loop keeps its
+/// [`representative`] graph, unanalyzed. The loops fan out across the work
+/// pool: each worker analyzes its graph and hands the report row and the
+/// graph, by value, to `per_loop`. The pool lends items by reference, so a
+/// `Mutex<Option<Ddg>>` per loop passes the worker its graph uncloned.
 ///
-/// Results come back in `select`'s order, and a worker's failure surfaces
-/// as the lowest-indexed error, so the output is identical to the
-/// sequential engine's at every thread count.
+/// Results come back in `select`'s order. A VM error wins, then the
+/// lowest-indexed loop's error ([`Error::EmptyTrace`] or a build error).
 fn analyze_loops<T: Send>(
     module: &Module,
     options: &AnalysisOptions,
     select: impl FnOnce(&Vm<'_>) -> Vec<LoopProfile>,
-    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+    per_loop: impl Fn(LoopReport, Ddg) -> T + Sync,
 ) -> Result<Vec<T>, Error> {
     // Profiling run. Its VM is dropped before the capture VM exists, so
     // the two program images are never resident together.
@@ -477,8 +476,8 @@ fn analyze_loops<T: Send>(
         func: p.func_name.clone(),
         line: p.span.line,
     };
-    let mut vm = Vm::with_options(module, options.vm_options());
-    let mut n_traces = Vec::with_capacity(loops.len());
+    let mut sinks = Vec::new();
+    let mut n_sampled = Vec::with_capacity(loops.len());
     for p in &loops {
         // A loop that was never entered cannot produce a trace; fail
         // before spending a capture run (and before `sampled_instances`,
@@ -486,30 +485,31 @@ fn analyze_loops<T: Send>(
         if p.entries == 0 {
             return Err(empty_trace(p));
         }
-        let label = format!("{}:{}", p.func_name, p.span.line);
         let instances = sampled_instances(options.loop_instance, p.entries);
-        for &instance in &instances {
+        n_sampled.push(instances.len());
+        sinks.extend(instances.into_iter().map(|instance| {
             let spec = CaptureSpec::Loop {
                 func: p.key.func,
                 loop_id: p.key.loop_id,
                 instance,
             };
-            vm.add_capture(spec, &label);
-        }
-        n_traces.push(instances.len());
+            (spec, DdgBuilder::new(module, options.candidate_policy()))
+        }));
     }
-    vm.run_main()?;
-    let mut traces = vm.take_traces().into_iter();
-    drop(vm);
-
-    let work: Vec<(&LoopProfile, Vec<Trace>)> = loops
+    let mut builders = run_sinks(module, options, sinks, DdgBuilder::push)?.into_iter();
+    let work = loops
         .iter()
-        .zip(n_traces)
-        .map(|(p, n)| (p, traces.by_ref().take(n).collect()))
-        .collect();
-    rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
-        let (ddg, metrics, per_inst) =
-            best_of_traces(module, options, loop_traces)?.ok_or_else(|| empty_trace(p))?;
+        .zip(n_sampled)
+        .map(|(p, n)| {
+            let ddg = representative(builders.by_ref().take(n))?.ok_or_else(|| empty_trace(p))?;
+            Ok((p, Mutex::new(Some(ddg))))
+        })
+        .collect::<Result<Vec<_>, Error>>()?;
+
+    let rows = rayon_lite::par_map(options.threads, &work, |_, (p, ddg)| {
+        let ddg = ddg.lock().map(|mut slot| slot.take());
+        let ddg = ddg.ok().flatten().expect("each graph is taken once");
+        let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
         let (func, loop_id) = (p.key.func, p.key.loop_id);
         let report = LoopReport {
             module_name: module.name().to_string(),
@@ -531,7 +531,8 @@ fn analyze_loops<T: Send>(
             ddg_nodes: ddg.len(),
         };
         per_loop(report, ddg)
-    })
+    });
+    Ok(rows)
 }
 
 /// The dynamic loop instances to capture, per the sampling policy.
@@ -551,29 +552,28 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
     }
 }
 
-/// Analyzes each captured sub-trace and keeps the one with the most
-/// candidate operations (the paper's "representative subtrace"; ties go to
-/// the earliest instance). Returns `None` if every trace is empty.
-fn best_of_traces(
-    module: &Module,
-    options: &AnalysisOptions,
-    traces: &[Trace],
-) -> Result<Option<(Ddg, LoopMetrics, Vec<InstMetrics>)>, Error> {
-    let mut best: Option<(Ddg, LoopMetrics, Vec<InstMetrics>)> = None;
-    for trace in traces {
-        if trace.is_empty() {
+/// Finishes one loop's sampled builders in order and keeps the graph with
+/// the most candidate nodes, i.e. [`LoopMetrics::total_ops`] (the paper's
+/// "representative subtrace"; ties go to the earliest). Returns the first
+/// build error, else `None` if every graph is empty: every Kern loop header
+/// computes its condition with an instruction, so only an instance that
+/// emitted no event has no node.
+fn representative<'m>(
+    builders: impl Iterator<Item = DdgBuilder<'m>>,
+) -> Result<Option<Ddg>, Error> {
+    let mut best: Option<(usize, Ddg)> = None;
+    for builder in builders {
+        let ddg = builder.finish()?;
+        if ddg.is_empty() {
             continue;
         }
-        let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
-        let (metrics, per_inst) = analyze_ddg(module, &ddg, &options.metric_options());
-        if best
-            .as_ref()
-            .is_none_or(|(_, m, _)| metrics.total_ops > m.total_ops)
-        {
-            best = Some((ddg, metrics, per_inst));
+        let insts = ddg.candidate_insts();
+        let candidates = insts.iter().map(|&i| ddg.candidate_instances(i)).sum();
+        if best.as_ref().is_none_or(|&(most, _)| candidates > most) {
+            best = Some((candidates, ddg));
         }
     }
-    Ok(best)
+    Ok(best.map(|(_, ddg)| ddg))
 }
 
 #[cfg(test)]

@@ -260,7 +260,7 @@ pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Resul
     let module = vectorscope_frontend::compile(name, source)?;
     let decisions = autovec_analyze(&module);
     let loops = analyze_hot_loops(&module, options, |report, ddg| {
-        Ok(cross_validate(&module, &decisions, options, report, &ddg))
+        cross_validate(&module, &decisions, options, report, &ddg)
     })?;
     Ok(GapSuite { module, loops })
 }

@@ -15,8 +15,8 @@
 //! 1. **Compile** Kern source to IR (`vectorscope-frontend`).
 //! 2. **Profile** a run to find hot loops (`vectorscope-interp`), like the
 //!    paper's HPCToolkit step.
-//! 3. **Capture** a sub-trace of one dynamic instance of each hot loop.
-//! 4. **Build the DDG** — flow dependences only (`vectorscope-ddg`).
+//! 3. **Capture** sampled instances of each hot loop in one run, keeping one.
+//! 4. **Build the DDG** as the events happen — flow dependences only (`vectorscope-ddg`).
 //! 5. **[`partition()`](partition())** — Algorithm 1: per-statement timestamps placing
 //!    every instance at its earliest slot; equal timestamps ⇒ independent
 //!    (maximal per-statement parallelism, Properties 3.1/3.2).

@@ -13,10 +13,9 @@
 //!   timestamp, so the partitioning exposes the maximum available
 //!   parallelism for `s` under any dependence-preserving reordering.
 //!
-//! The forward scan itself is inherently sequential (each node's timestamp
-//! depends on its predecessors'), so [`partition_all`] stays on one thread;
-//! it is the *output* — independent (candidate, partition) groups — that
-//! the metrics layer fans across workers for the stride stage.
+//! The forward scan is inherently sequential (each node's timestamp
+//! depends on its predecessors'), and the stride stages then scan its
+//! (candidate, partition) groups one at a time on the same thread.
 
 use std::collections::HashSet;
 use vectorscope_ddg::{reserve_lean, Ddg, EXTERNAL};

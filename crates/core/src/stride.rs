@@ -47,15 +47,6 @@ impl StrideReport {
     pub fn non_unit_ops(&self) -> usize {
         self.non_unit.iter().map(Vec::len).sum()
     }
-
-    /// Average size of unit-stride subpartitions (0.0 when none).
-    pub fn avg_unit_size(&self) -> f64 {
-        if self.unit.is_empty() {
-            0.0
-        } else {
-            self.unit_ops() as f64 / self.unit.len() as f64
-        }
-    }
 }
 
 /// Runs both stages on one parallel partition: unit-stride subpartitioning,
@@ -458,7 +449,7 @@ mod tests {
         assert!(non_unit_stride(&ddg, &[]).is_empty());
         let r = analyze_partition(&ddg, &[], 8);
         assert_eq!(r.unit_ops(), 0);
-        assert_eq!(r.avg_unit_size(), 0.0);
+        assert!(r.unit.is_empty());
     }
 
     #[test]
@@ -467,7 +458,7 @@ mod tests {
         let (ddg, cands) = ddg_with_loads(&pairs);
         let r = analyze_partition(&ddg, &cands, 8);
         assert_eq!(r.unit_ops(), 6);
-        assert_eq!(r.avg_unit_size(), 6.0);
+        assert_eq!(r.unit.len(), 1);
         assert_eq!(r.non_unit_ops(), 0);
     }
 }

@@ -166,21 +166,24 @@ const LEAN_FLOOR: usize = 4096;
 /// after the nearest mark.
 const MARK_EVERY: usize = 64;
 
-/// Makes room for `additional` more elements in `v`, growing its capacity
-/// by one eighth (at least a few thousand slots) instead of `Vec`'s
-/// doubling.
+/// Makes room for `additional` more elements in `v`, doubling its
+/// capacity up to a few thousand slots and growing it by one eighth (at
+/// least those few thousand) after that, instead of `Vec`'s doubling.
 ///
 /// The DDG's per-node columns grow to hundreds of megabytes on
 /// whole-program runs; doubling leaves up to half of each allocation
 /// unused while they grow, growing by eighths at most a ninth. Large
 /// blocks are resized by remapping pages (glibc uses `mremap`), so the
 /// extra growth steps do not copy the data again. [`DdgBuilder::finish`]
-/// then trims every column to its length. The floor would dwarf a small
-/// column, so the marks (one entry per 64 nodes) grow with plain `push`:
-/// they stay small next to the per-node columns.
+/// then trims every column to its length. A hot loop's builders, one per
+/// sampled instance, are all alive during their capture run, and most of
+/// their columns stay small: doubling below the floor keeps each within
+/// twice its length. The marks (one entry per 64 nodes) grow with plain
+/// `push`: they stay small next to the per-node columns.
 pub fn reserve_lean<T>(v: &mut Vec<T>, additional: usize) {
     if v.capacity() - v.len() < additional {
-        v.reserve_exact((v.capacity() / 8).max(LEAN_FLOOR).max(additional));
+        let step = (v.capacity() / 8).max(v.capacity().min(LEAN_FLOOR));
+        v.reserve_exact(step.max(additional));
     }
 }
 
@@ -603,9 +606,11 @@ pub struct SyntheticNode {
 
 /// Builds a [`Ddg`] incrementally, one trace event at a time.
 ///
-/// [`Ddg::try_build_with_policy`] is a loop over a buffered trace; a VM
-/// sink (`Vm::add_sink` in `vectorscope_interp`) can push the events as
-/// they are emitted instead, so the trace is never held in memory.
+/// Every DDG of the analysis driver is built this way: a VM sink
+/// (`Vm::add_sink` in `vectorscope_interp`) pushes the events as they are
+/// emitted, for the whole program or for each sampled hot-loop instance,
+/// so no trace is held in memory. [`Ddg::try_build_with_policy`] is the
+/// same loop over a buffered trace.
 pub struct DdgBuilder<'m> {
     resolver: Resolver<'m, ()>,
     nodes: NodeSink,

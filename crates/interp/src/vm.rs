@@ -329,11 +329,14 @@ impl<'m> Vm<'m> {
         &self.mem
     }
 
-    /// Arms trace capture; call before [`Vm::run`].
+    /// Arms a buffered trace capture; call before [`Vm::run`].
     ///
     /// Replaces any previously armed captures with this single one. To
     /// record several sub-traces in one execution, follow with
-    /// [`Vm::add_capture`].
+    /// [`Vm::add_capture`]. The analysis driver never buffers (it arms
+    /// sinks, [`Vm::add_sink`]); buffered captures serve `vscope trace`,
+    /// Figure 2's loop-level baseline (`crates/bench/src/figures.rs`),
+    /// tests and the pipeline benchmark.
     pub fn set_capture(&mut self, spec: CaptureSpec, label: &str) {
         self.captures = vec![Capture::new(spec, label)];
         self.active_dirty = true;
@@ -343,8 +346,9 @@ impl<'m> Vm<'m> {
     ///
     /// All armed captures record simultaneously during the next
     /// [`Vm::run`]: one execution can yield sub-traces for several
-    /// (loop, instance) targets, so the driver never has to replay the
-    /// program once per target.
+    /// (loop, instance) targets without replaying the program once per
+    /// target. Only tests and the pipeline benchmark arm several buffered
+    /// captures; the analysis driver arms sinks instead.
     pub fn add_capture(&mut self, spec: CaptureSpec, label: &str) {
         self.captures.push(Capture::new(spec, label));
         self.active_dirty = true;
@@ -357,7 +361,8 @@ impl<'m> Vm<'m> {
     /// as [`Vm::add_capture`] (same spec semantics, same instance
     /// selection, same start/stop boundaries) — but nothing is retained by
     /// the VM, so memory stays flat no matter how long the region runs.
-    /// The streaming analysis engine is built on this hook.
+    /// Every capture of the analysis driver is a sink: whole-program and
+    /// hot-loop DDG builders and the streaming engine.
     ///
     /// Sinks and buffered captures can be armed together; sinks simply
     /// yield an empty trace slot in [`Vm::take_traces`].
@@ -369,7 +374,8 @@ impl<'m> Vm<'m> {
     /// Takes the captured trace, if capture was armed and fired.
     ///
     /// With several armed captures this returns the first; use
-    /// [`Vm::take_traces`] to collect all of them.
+    /// [`Vm::take_traces`] to collect all of them. For buffered captures
+    /// only (see [`Vm::set_capture`] for who still buffers).
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.active_dirty = true;
         if self.captures.is_empty() {
@@ -386,7 +392,8 @@ impl<'m> Vm<'m> {
     ///
     /// Captures that never fired yield their (empty) traces too, so the
     /// result lines up index-for-index with the arming calls; sink
-    /// captures contribute an empty placeholder trace.
+    /// captures contribute an empty placeholder trace. For buffered
+    /// captures only (see [`Vm::set_capture`] for who still buffers).
     pub fn take_traces(&mut self) -> Vec<Trace> {
         self.active_dirty = true;
         std::mem::take(&mut self.captures)

@@ -1,8 +1,11 @@
 //! End-to-end execution tests: Kern source → IR → VM, with results checked
 //! against native Rust computations.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use vectorscope_frontend::compile;
 use vectorscope_interp::{CaptureSpec, LoopSite, Vm, VmError, VmOptions};
+use vectorscope_trace::TraceEvent;
 
 /// Compiles and runs `main`, returning the VM for inspection.
 macro_rules! run {
@@ -791,20 +794,38 @@ fn multi_capture_matches_single_capture_runs() {
         reference.push(vm.take_trace().unwrap());
     }
 
-    // Fused: all five captures armed on one execution.
+    // Fused: all five captures armed on one execution, and the same five
+    // specs again as sinks that collect their events.
     let mut vm = Vm::new(&module);
     for spec in specs {
         vm.add_capture(spec, "single");
     }
+    let sunk: Vec<Rc<RefCell<Vec<TraceEvent>>>> = specs
+        .iter()
+        .map(|&spec| {
+            let events = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&events);
+            vm.add_sink(spec, Box::new(move |e| sink.borrow_mut().push(*e)));
+            events
+        })
+        .collect();
     vm.run_main().unwrap();
     let traces = vm.take_traces();
-    assert_eq!(traces.len(), specs.len());
+    assert_eq!(traces.len(), 2 * specs.len());
     for (i, (got, want)) in traces.iter().zip(&reference).enumerate() {
         assert!(!want.is_empty(), "reference capture {i} fired");
         assert_eq!(
             got.events(),
             want.events(),
             "fused capture {i} ({:?}) diverges from its single-capture run",
+            specs[i]
+        );
+    }
+    for (i, (events, trace)) in sunk.iter().zip(&traces).enumerate() {
+        assert_eq!(
+            events.borrow().as_slice(),
+            trace.events(),
+            "sink {i} ({:?}) is gated unlike its buffered capture",
             specs[i]
         );
     }

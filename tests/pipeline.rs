@@ -3,7 +3,10 @@
 
 use std::collections::HashSet;
 use vectorscope::metrics::{analyze_ddg, MetricOptions};
-use vectorscope::{analyze_program, analyze_source, partition, AnalysisOptions, InstancePick};
+use vectorscope::{
+    analyze_loop, analyze_program, analyze_source, partition, AnalysisOptions, InstancePick,
+    LoopReport,
+};
 use vectorscope_ddg::{CandidatePolicy, Ddg};
 use vectorscope_interp::{CaptureSpec, Vm};
 
@@ -351,6 +354,131 @@ fn sink_built_program_ddg_equals_trace_built() {
         assert_eq!(program.metrics, metrics, "{name}: metrics");
         assert_eq!(program.per_inst, per_inst, "{name}: per-inst rows");
     }
+}
+
+/// The graph of each sampled instance of a hot loop, re-captured with
+/// buffered captures (the default `Representative(4)` sampling), in
+/// instance order; `None` for an instance that emitted no event.
+fn sampled_graphs(module: &vectorscope_ir::Module, row: &LoopReport) -> Vec<Option<Ddg>> {
+    let mut vm = Vm::new(module);
+    vm.run_main().unwrap();
+    let entries = vm
+        .profiler()
+        .profiles(module, vm.forests())
+        .into_iter()
+        .find(|p| p.key.func == row.func && p.key.loop_id == row.loop_id)
+        .map(|p| p.entries)
+        .expect("a hot loop has a profile row");
+    let mut instances: Vec<u64> = (0..4).map(|s| (s * entries / 4).min(entries - 1)).collect();
+    instances.dedup();
+    let mut cap = Vm::new(module);
+    for &instance in &instances {
+        let spec = CaptureSpec::Loop {
+            func: row.func,
+            loop_id: row.loop_id,
+            instance,
+        };
+        cap.add_capture(spec, &row.location());
+    }
+    cap.run_main().unwrap();
+    cap.take_traces()
+        .iter()
+        .map(|trace| {
+            (!trace.is_empty()).then(|| {
+                Ddg::try_build_with_policy(module, trace, CandidatePolicy::FloatArith).unwrap()
+            })
+        })
+        .collect()
+}
+
+/// The sampled graph with the most candidate nodes, ties to the earliest.
+fn largest(graphs: Vec<Option<Ddg>>) -> Ddg {
+    let mut best: Option<Ddg> = None;
+    for ddg in graphs.into_iter().flatten() {
+        let candidates = ddg.candidate_nodes().count();
+        if best
+            .as_ref()
+            .is_none_or(|b| candidates > b.candidate_nodes().count())
+        {
+            best = Some(ddg);
+        }
+    }
+    best.expect("a sampled instance ran")
+}
+
+/// Hot loops keep one representative instance: on every bundled kernel's
+/// hot loops, `analyze_loop`'s graph is the trace-built graph of the
+/// sampled instance with the most candidate nodes (ties to the earliest),
+/// and its row is the analysis of that graph.
+#[test]
+fn hot_loop_ddg_is_the_largest_sampled_instance() {
+    let options = AnalysisOptions {
+        threads: 1,
+        ..AnalysisOptions::default()
+    };
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        let suite = analyze_source(&name, &kernel.source, &options).unwrap();
+        for row in &suite.loops {
+            let want = largest(sampled_graphs(&suite.module, row));
+            let got = analyze_loop(&suite.module, row.func, row.loop_id, &options).unwrap();
+            let at = row.location();
+            assert!(got.ddg == want, "{name} {at}: representative graph");
+            assert_eq!(got.report, *row, "{name} {at}: row");
+            let (metrics, per_inst) = analyze_ddg(&suite.module, &want, &MetricOptions::default());
+            assert_eq!(row.metrics, metrics, "{name} {at}: metrics");
+            assert_eq!(row.per_inst, per_inst, "{name} {at}: per-inst rows");
+            assert_eq!(row.ddg_nodes, want.len(), "{name} {at}: nodes");
+        }
+    }
+}
+
+/// A triangular loop whose sampled instances differ in candidate count
+/// takes its row from the one with the most candidates, which here is
+/// neither the first, the last nor the one with the most nodes.
+#[test]
+fn triangular_loop_row_comes_from_its_largest_sampled_instance() {
+    // Inner instance `i` runs `i` iterations, min(i, N - i) of them with a
+    // candidate op and the rest with integer work. Sampling 4 of the 16
+    // instances takes 0, 4, 8 and 12: 0, 4, 8 and 4 candidates, and
+    // instance 12 has the most nodes.
+    let src = r#"
+        const int N = 16;
+        double a[N];
+        int k = 0;
+        void main() {
+            for (int i = 0; i < N; i++) {
+                for (int j = 0; j < i; j++) {
+                    if (j < N - i) { a[j] = a[j] + 1.0; } else { k = k + j * 3; }
+                }
+            }
+        }
+    "#;
+    let module = vectorscope_frontend::compile("tri.kern", src).unwrap();
+    let main = module.lookup_function("main").unwrap();
+    let forest = vectorscope_ir::loops::LoopForest::new(module.function(main));
+    let (inner, _) = forest.iter().find(|(_, l)| l.is_innermost()).unwrap();
+    let options = AnalysisOptions::default();
+    let got = analyze_loop(&module, main, inner, &options).unwrap();
+
+    let graphs: Vec<Ddg> = sampled_graphs(&module, &got.report)
+        .into_iter()
+        .map(|g| g.expect("every sampled instance ran"))
+        .collect();
+    let sizes: Vec<usize> = graphs.iter().map(|g| g.candidate_nodes().count()).collect();
+    assert_eq!(sizes, [0, 4, 8, 4]);
+    assert!(
+        graphs[3].len() > graphs[2].len(),
+        "instance 12 has the most nodes"
+    );
+    assert_eq!(got.report.metrics.total_ops, 8);
+    assert!(got.ddg == graphs[2]);
+    let third = AnalysisOptions {
+        loop_instance: InstancePick::Index(8),
+        ..options
+    };
+    let want = analyze_loop(&module, main, inner, &third).unwrap();
+    assert_eq!(got.report, want.report);
 }
 
 /// The forward walks against their random-access oracles, on every
